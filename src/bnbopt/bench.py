@@ -250,8 +250,10 @@ def variance_bound_experiment(spec: KernelSpec, lower, upper, levels,
     near sqrt(jitter), about 1e-5 at the default jitter and unit output scale.
     """
     levels = [int(v) for v in levels]
-    if levels != sorted(levels):
-        raise ValueError("levels must be ascending")
+    if not levels or any(b <= a for a, b in zip(levels, levels[1:])):
+        raise ValueError(
+            f"levels must be non-empty and strictly ascending, got {levels}"
+        )
     grid = DyadicGrid(lower, upper, 0, max(max(levels) + probe_refine, 1))
     done: list[int] = []
     deltas: list[float] = []

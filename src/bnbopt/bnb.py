@@ -19,9 +19,7 @@ from .lattice import DyadicGrid, RegionBall
 class RunConfig:
     """Knobs for a single optimizer run.
 
-    ``max_level=None`` keeps the grid's own refinement cap. ``half_radius``
-    halves the enclosing-ball radius after each shrink (experimental; the
-    default keeps the full farthest-pair distance).
+    ``max_level=None`` keeps the grid's own refinement cap.
     """
 
     alpha: float = 0.05
@@ -29,7 +27,6 @@ class RunConfig:
     jitter: float | None = None
     seed: int = 0
     max_level: int | None = None
-    half_radius: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
@@ -97,14 +94,6 @@ class RunTrace:
         return self.values.shape[0]
 
     @property
-    def evaluations(self) -> list[tuple[int, np.ndarray, float]]:
-        """(t, point, value) triples with t running from 1."""
-        return [
-            (i + 1, self.points[i].copy(), float(self.values[i]))
-            for i in range(len(self))
-        ]
-
-    @property
     def incumbent_values(self) -> np.ndarray:
         """Best value seen up to each step (running maximum)."""
         return self.values[self._best_index]
@@ -156,11 +145,17 @@ def _probe_level(grid: DyadicGrid, region: RegionBall, cap: int = _PROBE_CAP) ->
     return floor_level
 
 
-def _evaluate_cover(post, cover, objective, max_new):
-    """Evaluate unseen cover points in order; True flag = stopped at the cap."""
+def densify(post: gp.GPPosterior, region: RegionBall, grid: DyadicGrid,
+            objective, max_new: int | None = None):
+    """Evaluate every not-yet-observed cover point of the region, in lattice order.
+
+    Returns ``(post, new, truncated)``: the extended posterior, the list of
+    (point, value) pairs added, and whether ``max_new`` stopped the pass with
+    an unseen cover point left. Idempotent at a fixed level and region.
+    """
     seen = {tuple(p) for p in post.obs.points}
     new = []
-    for p in cover:
+    for p in grid.cover_points(region):
         key = tuple(p)
         if key in seen:
             continue
@@ -173,27 +168,13 @@ def _evaluate_cover(post, cover, objective, max_new):
     return post, new, False
 
 
-def densify(post: gp.GPPosterior, region: RegionBall, grid: DyadicGrid,
-            objective, max_new: int | None = None):
-    """Evaluate every not-yet-observed cover point of the region, in lattice order.
-
-    Returns the extended posterior and the list of (point, value) pairs
-    added; idempotent at a fixed level and region. ``max_new`` caps the
-    number of fresh evaluations.
-    """
-    cover = grid.cover_points(region)
-    post, new, _ = _evaluate_cover(post, cover, objective, max_new)
-    return post, new
-
-
-def shrink(post: gp.GPPosterior, beta_value: float, candidates,
-           half_radius: bool = False):
+def shrink(post: gp.GPPosterior, beta_value: float, candidates):
     """Keep candidates whose UCB clears the best LCB; enclose them in a ball.
 
     The comparison is non-strict (ucb >= sup lcb) so the LCB argmax itself
     always survives and ``kept`` is never empty. The ball is centred midway
-    between the farthest kept pair with radius equal to their full distance
-    (halved when ``half_radius``). Returns (kept, new_region, sup_lcb).
+    between the farthest kept pair with radius equal to their full distance.
+    Returns (kept, new_region, sup_lcb).
     """
     cands = np.asarray(candidates, dtype=float)
     if cands.ndim != 2 or cands.shape[0] == 0:
@@ -210,10 +191,7 @@ def shrink(post: gp.GPPosterior, beta_value: float, candidates,
         return kept, RegionBall(kept[0].copy(), 0.0), sup_lcb
     dists = cdist(kept, kept)
     i, j = np.unravel_index(int(np.argmax(dists)), dists.shape)
-    radius = float(dists[i, j])
-    if half_radius:
-        radius *= 0.5
-    return kept, RegionBall(0.5 * (kept[i] + kept[j]), radius), sup_lcb
+    return kept, RegionBall(0.5 * (kept[i] + kept[j]), float(dists[i, j])), sup_lcb
 
 
 def run(objective, spec: KernelSpec, grid: DyadicGrid, config: RunConfig,
@@ -252,39 +230,28 @@ def run(objective, spec: KernelSpec, grid: DyadicGrid, config: RunConfig,
         except ResolutionExhausted:
             break
         iteration += 1
-        cover = grid.cover_points(region)
-        if cover.shape[0] == 0:
-            break
-        remaining = config.max_evaluations - len(values)
-        post, new, hit_cap = _evaluate_cover(post, cover, objective, remaining)
+        post, new, truncated = densify(
+            post, region, grid, objective, config.max_evaluations - len(values)
+        )
         for p, fx in new:
             points.append(p)
             values.append(fx)
-        if hit_cap:
-            truncated = True
+        if truncated:
             break
-        T = len(values)
-        beta_T = beta(T, lattice_size, config.alpha)
         # Probe candidates on a finer lattice than the samples: between
         # samples the uncertainty still admits the maximum, so the surviving
         # set reflects the confidence bounds there, not just at the sampled
-        # points. Earlier evaluations still in the region are unioned in
-        # (nesting makes them a subset of the probe cover in practice).
+        # points. The probe level is never below the sampled one and dyadic
+        # lattices nest bitwise, so every evaluated point inside the region
+        # is already a probe point. An empty cover means the region has left
+        # the box.
         probe = replace(grid, level=_probe_level(grid, region))
-        probe_cover = probe.cover_points(region)
-        if probe_cover.shape[0] == 0:
+        candidates = probe.cover_points(region)
+        if candidates.shape[0] == 0:
             break
-        probe_keys = {tuple(p) for p in probe_cover}
-        extra = [
-            p
-            for p in post.obs.points
-            if tuple(p) not in probe_keys
-            and region.contains(p, grid.lower, grid.upper)
-        ]
-        candidates = np.vstack([probe_cover, extra]) if extra else probe_cover
-        kept, new_region, sup_lcb = shrink(
-            post, beta_T, candidates, half_radius=config.half_radius
-        )
+        T = len(values)
+        beta_T = beta(T, lattice_size, config.alpha)
+        kept, new_region, sup_lcb = shrink(post, beta_T, candidates)
         iterations.append(
             IterationRecord(
                 iteration=iteration,

@@ -110,7 +110,6 @@ class _Settings:
         self.spec = KernelSpec(family, scale, tuple(scales), self.dim)
         self.alpha = args.alpha
         self.budget = args.budget
-        self.half_radius = getattr(args, "half_radius", "off") == "on"
         self.out_dir = Path(
             args.out or os.environ.get("BNBOPT_OUT") or "bnbopt-out"
         )
@@ -148,7 +147,6 @@ def _run_strategy(strategy: str, objective, settings: _Settings, seed: int,
         max_evaluations=settings.budget,
         seed=seed,
         max_level=run_max_level,
-        half_radius=settings.half_radius,
     )
     grid = DyadicGrid(settings.lower, settings.upper, 0, run_max_level)
     if strategy == "bnb":
@@ -355,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--objective", required=True,
                        choices=["gp-sample", "quadratic", "boundary"])
     p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--half-radius", choices=["on", "off"], default="off")
     p_run.set_defaults(handler=cmd_run)
 
     p_cmp = sub.add_parser("compare", help="strategies x seeds regret comparison")
@@ -365,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--seeds", default="20",
                        help='"A..B" inclusive range or a count "N"')
     p_cmp.add_argument("--strategies", default="bnb,ucb,random")
-    p_cmp.add_argument("--half-radius", choices=["on", "off"], default="off")
     p_cmp.set_defaults(handler=cmd_compare)
 
     p_ver = sub.add_parser("verify", help="scientific checks (exit 3 on failure)")

@@ -1,4 +1,4 @@
-"""Exact noise-free Gaussian-process posterior with confidence-bound surrogates."""
+"""Exact noise-free Gaussian-process posterior."""
 
 from __future__ import annotations
 
@@ -75,9 +75,9 @@ def _factor(K: np.ndarray, jitter: float, scale: float, points: np.ndarray):
 class GPPosterior:
     """Posterior after exact observations of a zero-mean GP.
 
-    ``chol`` is the lower-triangular factor of gram(points) + jitter*I and
-    ``weights`` solves (gram + jitter*I) w = values. Instances are immutable;
-    :meth:`extend` returns a new posterior.
+    ``chol`` is the lower-triangular factor of K + jitter*I, with K the Gram
+    matrix of the points, and ``weights`` solves (K + jitter*I) w = values.
+    Instances are immutable; :meth:`extend` returns a new posterior.
     """
 
     spec: kernels.KernelSpec
@@ -108,20 +108,6 @@ class GPPosterior:
         # negative roundoff clamped before the square root
         return mus, np.sqrt(np.clip(var, 0.0, None))
 
-    def ucb(self, x, beta: float) -> float:
-        """Upper confidence bound mu + sqrt(beta) * sigma."""
-        if beta < 0.0:
-            raise ValueError("beta must be nonnegative")
-        mu, sigma = self.predict(x)
-        return mu + math.sqrt(beta) * sigma
-
-    def lcb(self, x, beta: float) -> float:
-        """Lower confidence bound mu - sqrt(beta) * sigma."""
-        if beta < 0.0:
-            raise ValueError("beta must be nonnegative")
-        mu, sigma = self.predict(x)
-        return mu - math.sqrt(beta) * sigma
-
     def extend(self, x, fx: float) -> "GPPosterior":
         """Posterior with one extra observation, via a rank-one factor append.
 
@@ -142,7 +128,7 @@ class GPPosterior:
         )
         if n == 0:
             return fit(self.spec, new_obs, self.jitter)
-        k = kernels.cross(self.spec, self.obs.points, p)
+        k = kernels.pairwise(self.spec, self.obs.points, p[None, :])[:, 0]
         c = solve_triangular(self.chol, k, lower=True, check_finite=False)
         pivot = self.spec.output_scale + self.jitter - float(c @ c)
         if pivot <= 0.0:
@@ -170,7 +156,7 @@ def fit(spec: kernels.KernelSpec, obs: ObservationSet,
     pts = kernels.as_points(spec, obs.points)
     if len(obs) == 0:
         return GPPosterior(spec, obs, float(jitter), np.zeros((0, 0)), np.zeros(0))
-    K = kernels.gram(spec, pts)
+    K = kernels.pairwise(spec, pts, pts)
     chol, used = _factor(K, jitter, spec.output_scale, pts)
     weights = cho_solve((chol, True), obs.values, check_finite=False)
     return GPPosterior(spec, obs, used, chol, weights)
@@ -186,7 +172,7 @@ def sample_prior_on_grid(spec: kernels.KernelSpec, grid_points, seed: int,
         return np.zeros(0)
     if np.unique(pts, axis=0).shape[0] != pts.shape[0]:
         raise DuplicateObservationError("grid points must be distinct")
-    K = kernels.gram(spec, pts)
+    K = kernels.pairwise(spec, pts, pts)
     chol, _ = _factor(K, jitter, spec.output_scale, pts)
     z = np.random.default_rng(seed).standard_normal(pts.shape[0])
     return chol @ z

@@ -108,18 +108,6 @@ def evaluate(spec: KernelSpec, x, y) -> float:
     return float(spec.output_scale * _profile(spec.family, float(diff @ diff)))
 
 
-def gram(spec: KernelSpec, points) -> np.ndarray:
-    """Symmetric covariance matrix of a point set (diagonal = output_scale)."""
-    pts = as_points(spec, points)
-    return pairwise(spec, pts, pts)
-
-
-def cross(spec: KernelSpec, points, x) -> np.ndarray:
-    """Covariances between each of `points` and the single point `x`."""
-    xp = as_point(spec, x)
-    return pairwise(spec, points, xp[None, :])[:, 0]
-
-
 def _profile_fourth_derivative(family: str) -> float:
     """Fourth derivative at zero of t -> profile(t^2), by central differences.
 

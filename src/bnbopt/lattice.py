@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -90,17 +91,9 @@ class DyadicGrid:
         lev = self.level if level is None else level
         if not 0 <= lev <= self.max_level:
             raise ValueError("level must lie in [0, max_level]")
-        if self.num_points(lev) > _ENUM_CAP:
-            raise GridTooLargeError(
-                f"{self.num_points(lev)} lattice points exceed the "
-                f"{_ENUM_CAP} enumeration cap"
-            )
-        h = self.spacing(lev)
-        axes = [
-            self.lower[i] + np.arange(2**lev + 1) * h[i] for i in range(self.dim)
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
+        return self._enumerate(
+            lev, np.zeros(self.dim, dtype=int), np.full(self.dim, 2**lev)
+        )
 
     def refine(self) -> "DyadicGrid":
         """One level finer; the coarse points are a subset of the fine points."""
@@ -110,20 +103,55 @@ class DyadicGrid:
             )
         return replace(self, level=self.level + 1)
 
-    def cover_window_size(self, region: RegionBall, level: int | None = None) -> int:
-        """Upper bound on the cover enumeration size at a level, in O(dim) time."""
-        lev = self.level if level is None else level
-        c = np.asarray(region.center, dtype=float)
+    def _enumerate(self, level: int, k_lo: np.ndarray, k_hi: np.ndarray) -> np.ndarray:
+        """Level points with per-axis indices in [k_lo, k_hi], lexicographically.
+
+        The point of index k is ``lower + k * spacing``, so the same index
+        gives the same float whichever window enumerates it.
+        """
+        size = math.prod(int(n) for n in k_hi - k_lo + 1)
+        if size > _ENUM_CAP:
+            raise GridTooLargeError(
+                f"{size} lattice points exceed the {_ENUM_CAP} enumeration cap"
+            )
+        h = self.spacing(level)
+        axes = [
+            self.lower[i] + np.arange(k_lo[i], k_hi[i] + 1) * h[i]
+            for i in range(self.dim)
+        ]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        return np.stack([m.ravel() for m in mesh], axis=1)
+
+    def _window(self, region: RegionBall, level: int):
+        """Per-axis index window (k_lo, k_hi) holding the level's cover of the region.
+
+        The window is a superset, padded by one cell, of the points within
+        ``radius + delta(level)`` of the centre. None when the region misses
+        the box.
+        """
+        c = region.center
+        if c.shape != (self.dim,):
+            raise DimensionError(
+                f"region center has shape {c.shape}, expected ({self.dim},)"
+            )
         outside = np.maximum(self.lower - c, 0.0) + np.maximum(c - self.upper, 0.0)
         if float(np.sqrt((outside**2).sum())) > region.radius:
-            return 0
-        reach = region.radius + self.delta(lev)
-        h = self.spacing(lev)
+            return None
+        reach = region.radius + self.delta(level)
+        h = self.spacing(level)
         k_lo = np.maximum(np.floor((c - reach - self.lower) / h).astype(int) - 1, 0)
-        k_hi = np.minimum(np.ceil((c + reach - self.lower) / h).astype(int) + 1, 2**lev)
+        k_hi = np.minimum(np.ceil((c + reach - self.lower) / h).astype(int) + 1, 2**level)
         if np.any(k_lo > k_hi):
+            return None
+        return k_lo, k_hi
+
+    def cover_window_size(self, region: RegionBall, level: int | None = None) -> int:
+        """Upper bound on the cover enumeration size at a level, in O(dim) time."""
+        window = self._window(region, self.level if level is None else level)
+        if window is None:
             return 0
-        return int(np.prod(k_hi - k_lo + 1))
+        k_lo, k_hi = window
+        return math.prod(int(n) for n in k_hi - k_lo + 1)
 
     def cover_points(self, region: RegionBall) -> np.ndarray:
         """Current-level lattice points within the region dilated by one cell diagonal.
@@ -135,52 +163,12 @@ class DyadicGrid:
         """
         if self.level < 1:
             raise ValueError("cover_points requires level >= 1")
-        c = np.asarray(region.center, dtype=float)
-        if c.shape != (self.dim,):
-            raise DimensionError(
-                f"region center has shape {c.shape}, expected ({self.dim},)"
-            )
-        outside = np.maximum(self.lower - c, 0.0) + np.maximum(c - self.upper, 0.0)
-        if float(np.sqrt((outside**2).sum())) > region.radius:
+        window = self._window(region, self.level)
+        if window is None:
             return np.zeros((0, self.dim))
-        reach = region.radius + self.delta()
-        h = self.spacing()
-        n_cells = 2**self.level
-        # index window is a superset (padded by one cell); the exact distance
-        # filter below decides membership
-        k_lo = np.maximum(np.floor((c - reach - self.lower) / h).astype(int) - 1, 0)
-        k_hi = np.minimum(np.ceil((c + reach - self.lower) / h).astype(int) + 1, n_cells)
-        if np.any(k_lo > k_hi):
-            return np.zeros((0, self.dim))
-        if int(np.prod(k_hi - k_lo + 1)) > _ENUM_CAP:
-            raise GridTooLargeError("cover enumeration exceeds the size cap")
-        axes = [
-            self.lower[i] + np.arange(k_lo[i], k_hi[i] + 1) * h[i]
-            for i in range(self.dim)
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=1)
-        dist = np.sqrt(((pts - c) ** 2).sum(axis=1))
-        return pts[dist <= reach]
-
-    def check_divisibility(self) -> bool:
-        """Verify the generated points sit exactly on the power-of-two index lattice.
-
-        True by construction; returns False only if point generation has been
-        tampered with (e.g. an origin offset), in which case doubling a point
-        would leave the lattice.
-        """
-        pts = self.points()
-        span = self.upper - self.lower
-        idx = (pts - self.lower) / span * float(2**self.level)
-        k = np.rint(idx)
-        if float(np.max(np.abs(idx - k))) > 1e-9:
-            return False
-        if np.any(k < 0) or np.any(k > 2**self.level):
-            return False
-        recon = self.lower + k * (span / float(2**self.level))
-        tol = 1e-12 * float(np.max(np.abs(span)) + np.max(np.abs(self.lower)))
-        return bool(np.max(np.abs(recon - pts)) <= tol)
+        pts = self._enumerate(self.level, *window)
+        dist = np.sqrt(((pts - region.center) ** 2).sum(axis=1))
+        return pts[dist <= region.radius + self.delta()]
 
     def check_fineness(self, rho0: float) -> bool:
         """True when the finest cell diagonal fits inside a ball of radius rho0."""

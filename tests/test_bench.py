@@ -278,8 +278,9 @@ class TestVarianceBoundExperiment:
         assert np.all(res.sup_sigmas <= math.sqrt(1.9))
 
     def test_levels_must_ascend(self):
-        with pytest.raises(ValueError):
-            variance_bound_experiment(spec_se(), [0.0], [1.0], [3, 2])
+        for levels in ([3, 2], [1, 1, 2], []):
+            with pytest.raises(ValueError, match="strictly ascending"):
+                variance_bound_experiment(spec_se(), [0.0], [1.0], levels)
 
 
 @pytest.fixture(scope="module")

@@ -95,16 +95,15 @@ class TestShrink:
         assert np.array_equal(region.center, np.array([1.0, 0.0]))
         assert region.radius == 2.0  # full pair distance, not halved
 
-    def test_half_radius_switch(self):
-        pts = np.array([[0.0, 0.0], [2.0, 0.0]])
-        post = fit(KernelSpec.isotropic("se", 2, 1.0), ObservationSet.empty(2))
-        _, region, _ = shrink(post, 4.0, pts, half_radius=True)
-        assert region.radius == 1.0
-
     def test_empty_candidates_rejected(self):
         post = fit(spec_se(), ObservationSet.empty(1))
         with pytest.raises(ValueError):
             shrink(post, 1.0, np.zeros((0, 1)))
+
+    def test_negative_beta_rejected(self):
+        post = fit(spec_se(), ObservationSet.empty(1))
+        with pytest.raises(ValueError):
+            shrink(post, -1.0, np.array([[0.5]]))
 
 
 class TestDensify:
@@ -118,27 +117,50 @@ class TestDensify:
             seen.append(float(x[0]))
             return 0.0
 
-        post, new = densify(post, initial_region(grid), grid, objective)
+        post, new, truncated = densify(post, initial_region(grid), grid, objective)
         assert seen == [0.0, 0.5, 1.0]  # lexicographic order
         assert [v for _, v in new] == [0.0, 0.0, 0.0]
+        assert not truncated
 
     def test_idempotent_at_fixed_level_and_region(self):
         spec = spec_se()
         grid = unit_grid().refine()
         region = initial_region(grid)
         post = fit(spec, ObservationSet.empty(1))
-        post, first = densify(post, region, grid, lambda x: float(x[0]))
+        post, first, _ = densify(post, region, grid, lambda x: float(x[0]))
         assert len(first) == 3
-        post, second = densify(post, region, grid, lambda x: float(x[0]))
+        post, second, truncated = densify(post, region, grid, lambda x: float(x[0]))
         assert second == []
+        assert not truncated
 
     def test_max_new_caps_evaluations(self):
         spec = spec_se()
         grid = unit_grid().refine()
         post = fit(spec, ObservationSet.empty(1))
-        post, new = densify(post, initial_region(grid), grid,
-                            lambda x: float(x[0]), max_new=2)
+        post, new, truncated = densify(post, initial_region(grid), grid,
+                                       lambda x: float(x[0]), max_new=2)
         assert len(new) == 2
+        assert truncated
+
+    def test_truncated_only_when_unseen_point_left_at_cap(self):
+        spec = spec_se()
+        grid = unit_grid().refine()  # cover of the whole domain: 3 points
+        region = initial_region(grid)
+        empty = fit(spec, ObservationSet.empty(1))
+        # a cap equal to the unseen count evaluates them all: not truncated
+        post, new, truncated = densify(empty, region, grid,
+                                       lambda x: float(x[0]), max_new=3)
+        assert len(new) == 3 and not truncated
+        # a cap of zero with nothing left unseen stops nothing
+        _, new, truncated = densify(post, region, grid,
+                                    lambda x: float(x[0]), max_new=0)
+        assert new == [] and not truncated
+        # one point seen, cap of one: the third cover point is left unseen
+        seeded = fit(spec, ObservationSet(np.array([[0.5]]), np.array([0.5])))
+        _, new, truncated = densify(seeded, region, grid,
+                                    lambda x: float(x[0]), max_new=1)
+        assert [p[0] for p, _ in new] == [0.0]
+        assert truncated
 
 
 def constant_objective(c, dim=1):
@@ -310,12 +332,6 @@ class TestTrace:
             tr.incumbent(0)
         with pytest.raises(IndexError):
             tr.incumbent(2)
-
-    def test_evaluations_property(self):
-        tr = self._toy_trace([1.0, 2.0])
-        evs = tr.evaluations
-        assert [t for t, _, _ in evs] == [1, 2]
-        assert [v for _, _, v in evs] == [1.0, 2.0]
 
 
 class TestRunConfig:

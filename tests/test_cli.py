@@ -57,15 +57,6 @@ class TestRun:
     def test_missing_objective_is_usage_error(self, tmp_path):
         assert run_cli("run", "--out", str(tmp_path)) == 2
 
-    def test_half_radius_switch_accepted_and_changes_search(self, tmp_path):
-        a, b = tmp_path / "full", tmp_path / "half"
-        for out, flag in ((a, "off"), (b, "on")):
-            assert run_cli("run", "--objective", "gp-sample", "--budget", "60",
-                           "--max-level", "8", "--seed", "5",
-                           "--half-radius", flag, "--out", str(out)) == 0
-        # the halved enclosing ball prunes harder, so the iteration logs differ
-        assert (a / "iterations.csv").read_bytes() != (b / "iterations.csv").read_bytes()
-
     def test_env_var_default_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BNBOPT_OUT", str(tmp_path / "envout"))
         assert run_cli("run", "--objective", "quadratic", "--budget", "20") == 0
@@ -149,6 +140,13 @@ class TestVerify:
         code = run_cli("verify", "variance", "--levels", "1..3",
                        "--lengthscale", "0.05", "--out", str(tmp_path / "v"))
         assert code == 3
+
+    def test_variance_bad_level_lists_are_usage_errors(self, tmp_path):
+        # a repeated level and an empty range are bad input, not a failed check
+        for levels in ("1,1,2", "3..1"):
+            code = run_cli("verify", "variance", "--levels", levels,
+                           "--out", str(tmp_path / "v"))
+            assert code == 2, levels
 
     def test_envelope_verification_passes(self, tmp_path):
         out = tmp_path / "e"

@@ -7,11 +7,17 @@ import pytest
 
 from bnbopt.errors import DuplicateObservationError, IllConditionedError
 from bnbopt.gp import ObservationSet, _factor, fit, sample_prior_on_grid
-from bnbopt.kernels import KernelSpec, evaluate, gram
+from bnbopt.kernels import KernelSpec, evaluate, pairwise
 
 
 def spec_se(dim=1, ls=1.0, scale=1.0):
     return KernelSpec.isotropic("se", dim, ls, scale)
+
+
+def bounds(post, x, beta):
+    """Confidence bounds (mu - sqrt(beta) sigma, mu + sqrt(beta) sigma) at x."""
+    mu, sigma = post.predict(x)
+    return mu - math.sqrt(beta) * sigma, mu + math.sqrt(beta) * sigma
 
 
 def two_obs_oracle(spec, pts, vals, x, jitter):
@@ -68,7 +74,7 @@ class TestFit:
         spec = spec_se(dim=2, ls=0.4)
         pts = rng.uniform(0, 1, size=(12, 2))
         post = fit(spec, ObservationSet(pts, rng.normal(size=12)))
-        K = gram(spec, pts) + post.jitter * np.eye(12)
+        K = pairwise(spec, pts, pts) + post.jitter * np.eye(12)
         recon = post.chol @ post.chol.T
         assert np.max(np.abs(recon - K)) <= 1e-10 * np.max(np.abs(K))
 
@@ -143,8 +149,7 @@ class TestConfidenceBounds:
         post = fit(spec, ObservationSet(np.array([[0.3]]), np.array([0.7])))
         x = [0.6]
         mu, _ = post.predict(x)
-        assert post.ucb(x, 0.0) == mu
-        assert post.lcb(x, 0.0) == mu
+        assert bounds(post, x, 0.0) == (mu, mu)
 
     def test_observed_point_bound_equals_value(self):
         spec = spec_se(ls=0.5)
@@ -152,7 +157,7 @@ class TestConfidenceBounds:
             spec, ObservationSet(np.array([[0.2], [0.8]]), np.array([1.5, -0.5])),
             jitter=0.0,
         )
-        assert post.ucb([0.2], 25.0) == pytest.approx(1.5, abs=1e-5)
+        assert bounds(post, [0.2], 25.0)[1] == pytest.approx(1.5, abs=1e-5)
 
     def test_surrogate_arithmetic(self):
         # one observation engineered so predict(x) = (0.2, 0.1); then
@@ -166,8 +171,9 @@ class TestConfidenceBounds:
         mu, sigma = post.predict([x])
         assert mu == pytest.approx(0.2, abs=1e-12)
         assert sigma == pytest.approx(0.1, abs=1e-9)
-        assert post.ucb([x], 4.0) == pytest.approx(0.4, abs=1e-9)
-        assert post.lcb([x], 4.0) == pytest.approx(0.0, abs=1e-9)
+        lcb, ucb = bounds(post, [x], 4.0)
+        assert ucb == pytest.approx(0.4, abs=1e-9)
+        assert lcb == pytest.approx(0.0, abs=1e-9)
 
     def test_ucb_at_least_lcb(self):
         rng = np.random.default_rng(10)
@@ -177,13 +183,8 @@ class TestConfidenceBounds:
         for _ in range(100):
             x = rng.uniform(0, 1, size=2)
             b = rng.uniform(0, 30)
-            assert post.ucb(x, b) >= post.lcb(x, b)
-
-    def test_negative_beta_rejected(self):
-        spec = spec_se()
-        post = fit(spec, ObservationSet.empty(1))
-        with pytest.raises(ValueError):
-            post.ucb([0.5], -1.0)
+            lcb, ucb = bounds(post, x, b)
+            assert ucb >= lcb
 
 
 class TestExtend:

@@ -6,14 +6,7 @@ import numpy as np
 import pytest
 
 from bnbopt.errors import DimensionError
-from bnbopt.kernels import (
-    KernelSpec,
-    cross,
-    evaluate,
-    gram,
-    pairwise,
-    smoothness_constant,
-)
+from bnbopt.kernels import KernelSpec, evaluate, pairwise, smoothness_constant
 
 EXP_MINUS_ONE = 0.36787944117144233  # high-precision e^-1, 50-digit arithmetic
 # five-point central differences of the unit profiles at step 1e-3,
@@ -98,22 +91,24 @@ class TestEvaluate:
 
 
 class TestGram:
+    """pairwise(points, points), the Gram matrix the posterior factors."""
+
     def test_single_point(self):
         spec = spec_se(scale=1.7)
-        K = gram(spec, [[0.25]])
+        K = pairwise(spec, [[0.25]], [[0.25]])
         assert K.shape == (1, 1)
         assert K[0, 0] == 1.7
 
     def test_duplicate_points_give_rank_deficient_block(self):
         spec = spec_se(scale=2.0)
-        K = gram(spec, [[0.3], [0.3]])
+        K = pairwise(spec, [[0.3], [0.3]], [[0.3], [0.3]])
         assert np.all(K == 2.0)
 
     def test_matches_entrywise_evaluate(self):
         rng = np.random.default_rng(3)
         for spec in (spec_se(dim=2, ls=0.5), spec_m52(dim=2, ls=0.3, scale=1.4)):
             pts = rng.uniform(0, 1, size=(3, 2))
-            K = gram(spec, pts)
+            K = pairwise(spec, pts, pts)
             for i in range(3):
                 for j in range(3):
                     assert K[i, j] == pytest.approx(
@@ -128,19 +123,21 @@ class TestGram:
             for n in (5, 20, 50):
                 spec = KernelSpec.isotropic(family, 2, 0.4)
                 pts = rng.uniform(0, 1, size=(n, 2))
-                K = gram(spec, pts)
+                K = pairwise(spec, pts, pts)
                 np.linalg.cholesky(K + 1e-10 * np.eye(n))  # must not raise
 
 
 class TestCross:
+    """pairwise(points, [x]), the column a rank-one append needs."""
+
     def test_first_entry_one_when_x_is_first_point(self):
         spec = spec_se()
         pts = [[0.1], [0.4], [0.9]]
-        k = cross(spec, pts, [0.1])
+        k = pairwise(spec, pts, [[0.1]])[:, 0]
         assert k[0] == 1.0
 
     def test_empty_points(self):
-        k = cross(spec_se(), np.zeros((0, 1)), [0.5])
+        k = pairwise(spec_se(), np.zeros((0, 1)), [[0.5]])[:, 0]
         assert k.shape == (0,)
 
     def test_matches_entrywise_evaluate(self):
@@ -148,7 +145,7 @@ class TestCross:
         spec = spec_m52(dim=2, ls=0.7)
         pts = rng.uniform(0, 1, size=(3, 2))
         x = rng.uniform(0, 1, size=2)
-        k = cross(spec, pts, x)
+        k = pairwise(spec, pts, x[None, :])[:, 0]
         for i in range(3):
             assert k[i] == pytest.approx(evaluate(spec, pts[i], x), abs=1e-14)
 
@@ -207,4 +204,4 @@ def test_pairwise_shape_and_consistency():
 
 def test_cross_dimension_mismatch():
     with pytest.raises(DimensionError):
-        cross(spec_se(), np.zeros((2, 2)), [0.5])
+        pairwise(spec_se(), np.zeros((2, 2)), [[0.5]])

@@ -17,6 +17,11 @@ def grid_2d(level=0, max_level=10):
     return DyadicGrid(np.zeros(2), np.ones(2), level, max_level)
 
 
+def grid_offset(level=0, max_level=10):
+    """A box that is neither unit nor anchored at zero: [0.2, 1.7]."""
+    return DyadicGrid(np.array([0.2]), np.array([1.7]), level, max_level)
+
+
 class TestConstruction:
     def test_bounds_must_be_ordered(self):
         with pytest.raises(ValueError):
@@ -65,7 +70,7 @@ class TestPoints:
         assert grid_2d(level=2).num_points() == 25
 
     def test_nesting_exhaustive_low_dims(self):
-        for make in (grid_1d, grid_2d):
+        for make in (grid_1d, grid_2d, grid_offset):
             for lev in range(5):
                 coarse = {tuple(p) for p in make(level=lev).points()}
                 fine = {tuple(p) for p in make(level=lev + 1).points()}
@@ -159,22 +164,19 @@ class TestCoverPoints:
 
 class TestDivisibility:
     def test_fresh_grids_pass(self):
-        assert grid_1d(level=4).check_divisibility()
-        assert grid_2d(level=3).check_divisibility()
-        assert DyadicGrid(np.array([0.2]), np.array([1.7]), 5, 10).check_divisibility()
-
-    def test_corrupted_origin_detected(self):
-        class OffsetGrid(DyadicGrid):
-            def points(self, level=None):
-                pts = super().points(level)
-                return pts + self.spacing()[None, :] / 3.0
-
-        bad = OffsetGrid(np.array([0.0]), np.array([1.0]), 3, 10)
-        assert not bad.check_divisibility()
+        # every point is exactly lower + k * (span / 2^level) for an integer
+        # k in [0, 2^level], and index 2k of the next level is the same float
+        for g in (grid_1d(level=4), grid_2d(level=3), grid_offset(level=5)):
+            h = (g.upper - g.lower) / float(2**g.level)
+            pts = g.points()
+            k = np.rint((pts - g.lower) / h)
+            assert k.min() == 0 and k.max() == 2**g.level
+            assert np.array_equal(pts, g.lower + k * h)
+            h_fine = (g.upper - g.lower) / float(2 ** (g.level + 1))
+            assert np.array_equal(pts, g.lower + (2 * k) * h_fine)
 
     def test_level5_doubling_enumeration(self):
         g = grid_1d(level=5)
-        assert g.check_divisibility()
         # oracle: normalized doubling of any lattice point that stays in the
         # unit box lands on another lattice point, exhaustively
         pts = {tuple(p) for p in g.points()}
@@ -210,9 +212,16 @@ class TestRegionBall:
 def test_enumeration_beyond_cap_rejected():
     from bnbopt.errors import GridTooLargeError
 
+    from bnbopt.bnb import initial_region
+
     g = DyadicGrid(np.array([0.0]), np.array([1.0]), 0, 24)
     with pytest.raises(GridTooLargeError):
         g.points(24)
+    # the cover of the whole 4-d unit box at level 10 spans a 1025^4 window
+    g4 = DyadicGrid(np.zeros(4), np.ones(4), 10, 10)
+    assert g4.cover_window_size(initial_region(g4)) == 1025**4
+    with pytest.raises(GridTooLargeError):
+        g4.cover_points(initial_region(g4))
 
 
 def test_points_level_out_of_range_rejected():

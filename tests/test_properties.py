@@ -1,0 +1,74 @@
+"""Property tests of the optimizer's invariants over random small problems."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bnbopt.bench import (
+    boundary_max_objective,
+    enumeration_level,
+    gp_sample_objective,
+    quadratic_objective,
+)
+from bnbopt.bnb import RunConfig, run
+from bnbopt.kernels import FAMILIES, KernelSpec
+from bnbopt.lattice import DyadicGrid
+
+# a 1500-point table keeps the prior draw's Gram matrix at 18 MB
+TABLE_CAP = 1500
+
+
+@st.composite
+def problems(draw):
+    """(objective, spec, grid, config): any dim 1-4, kernel, box and objective."""
+    dim = draw(st.integers(1, 4))
+    lower = np.array([draw(st.floats(-2.0, 2.0)) for _ in range(dim)])
+    upper = lower + np.array([draw(st.floats(0.25, 3.0)) for _ in range(dim)])
+    spec = KernelSpec(
+        draw(st.sampled_from(FAMILIES)),
+        draw(st.floats(0.5, 2.0)),
+        tuple(draw(st.floats(0.1, 1.0)) for _ in range(dim)),
+        dim,
+    )
+    max_level = draw(st.integers(3, 10 if dim <= 2 else 6))
+    grid = DyadicGrid(lower, upper, 0, max_level)
+    kind = draw(st.sampled_from(["quadratic", "boundary", "gp-sample"]))
+    if kind == "quadratic":
+        frac = np.array([draw(st.floats(0.05, 0.95)) for _ in range(dim)])
+        objective = quadratic_objective(lower + frac * (upper - lower),
+                                        draw(st.floats(0.5, 50.0)), 1.0,
+                                        lower, upper)
+    elif kind == "boundary":
+        objective = boundary_max_objective(lower, upper)
+    else:
+        # run on the tabulated lattice so every sample is a table hit
+        max_level = enumeration_level(grid, TABLE_CAP)
+        grid = DyadicGrid(lower, upper, 0, max_level)
+        objective = gp_sample_objective(spec, grid, max_level,
+                                        draw(st.integers(0, 2**16)))
+    config = RunConfig(alpha=draw(st.sampled_from([0.05, 0.1, 0.5])),
+                       max_evaluations=draw(st.integers(20, 300)))
+    return objective, spec, grid, config
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(problems())
+def test_evaluated_points_in_region_are_shrink_candidates(problem):
+    # the shrink candidates are the probe cover alone: every point evaluated
+    # so far that lies in the region being shrunk must be one of them, bitwise
+    objective, spec, grid, config = problem
+    shrinks = []
+
+    def observer(event):
+        evaluated = event.posterior.obs.points
+        assert evaluated.shape[0] == event.T
+        assert len({p.tobytes() for p in evaluated}) == event.T
+        candidates = {c.tobytes() for c in event.candidates}
+        for p in evaluated:
+            if event.region_before.contains(p, grid.lower, grid.upper):
+                assert p.tobytes() in candidates
+        shrinks.append(event.T)
+
+    trace = run(objective, spec, grid, config, observer=observer)
+    assert len(shrinks) == len(trace.iterations)
+    assert len({p.tobytes() for p in trace.points}) == len(trace)
