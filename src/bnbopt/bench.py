@@ -150,7 +150,7 @@ def plain_ucb_run(objective, spec: KernelSpec, grid: DyadicGrid,
         pick = int(np.flatnonzero(available)[local])
         x = pts[pick]
         fx = float(objective(x))
-        post = post.extend(x, fx)
+        post = post.extend(x[None, :], [fx])
         available[pick] = False
         points.append(x.copy())
         values.append(fx)

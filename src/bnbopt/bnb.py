@@ -149,23 +149,20 @@ def densify(post: gp.GPPosterior, region: RegionBall, grid: DyadicGrid,
             objective, max_new: int | None = None):
     """Evaluate every not-yet-observed cover point of the region, in lattice order.
 
+    The cover comes from the lattice, not from the posterior, so all of it is
+    evaluated first and then appended to the posterior in one block.
     Returns ``(post, new, truncated)``: the extended posterior, the list of
     (point, value) pairs added, and whether ``max_new`` stopped the pass with
     an unseen cover point left. Idempotent at a fixed level and region.
     """
+    cover = grid.cover_points(region)
     seen = {tuple(p) for p in post.obs.points}
-    new = []
-    for p in grid.cover_points(region):
-        key = tuple(p)
-        if key in seen:
-            continue
-        if max_new is not None and len(new) >= max_new:
-            return post, new, True
-        value = float(objective(p))
-        post = post.extend(p, value)
-        seen.add(key)
-        new.append((p.copy(), value))
-    return post, new, False
+    block = cover[np.array([tuple(p) not in seen for p in cover], dtype=bool)]
+    truncated = max_new is not None and block.shape[0] > max_new
+    if truncated:
+        block = block[:max_new]
+    values = [float(objective(p)) for p in block]
+    return post.extend(block, values), list(zip(block, values)), truncated
 
 
 def shrink(post: gp.GPPosterior, beta_value: float, candidates):
@@ -281,7 +278,7 @@ def run(objective, spec: KernelSpec, grid: DyadicGrid, config: RunConfig,
                 and key not in {tuple(p) for p in post.obs.points}
             ):
                 fx = float(objective(region.center))
-                post = post.extend(region.center, fx)
+                post = post.extend(region.center[None, :], [fx])
                 points.append(region.center.copy())
                 values.append(fx)
             break

@@ -52,9 +52,13 @@ def _parse_seeds(text: str) -> list[int]:
 
 
 def _parse_levels(text: str) -> list[int]:
+    """Either "A..B" (inclusive range) or a comma-separated list."""
     if ".." in text:
         a, b = text.split("..", 1)
-        return list(range(int(a), int(b) + 1))
+        lo, hi = int(a), int(b)
+        if hi < lo:
+            raise ValueError(f"empty level range {text!r}")
+        return list(range(lo, hi + 1))
     return [int(tok) for tok in text.split(",")]
 
 
@@ -299,11 +303,13 @@ def cmd_verify(args) -> int:
         )
         return EXIT_OK if ok else EXIT_CHECK_FAILED
     if args.target == "envelope":
-        n_seeds = len(_parse_seeds(args.seeds))
+        seeds = _parse_seeds(args.seeds)
+        n_seeds = len(seeds)
         grid = settings.grid()
         level = bench.enumeration_level(grid)
         report = bench.envelope_experiment(
-            settings.spec, grid, level, args.alpha, n_seeds, budget=args.budget
+            settings.spec, grid, level, args.alpha, n_seeds, budget=args.budget,
+            first_seed=seeds[0],
         )
         with (exp_dir / "envelope.csv").open("w", newline="") as handle:
             writer = csv.writer(handle)

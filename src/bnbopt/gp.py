@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
-from scipy.spatial.distance import pdist
+from scipy.spatial.distance import cdist, pdist
 
 from . import kernels
 from .errors import DuplicateObservationError, IllConditionedError
@@ -108,35 +108,44 @@ class GPPosterior:
         # negative roundoff clamped before the square root
         return mus, np.sqrt(np.clip(var, 0.0, None))
 
-    def extend(self, x, fx: float) -> "GPPosterior":
-        """Posterior with one extra observation, via a rank-one factor append.
+    def extend(self, points, values) -> "GPPosterior":
+        """Posterior with a block of m extra observations, via a block factor append.
 
-        Costs O(n^2) instead of a full O(n^3) refit; falls back to a refit
-        (with jitter escalation) if the appended pivot is not positive.
+        With L the current factor and B the new points, C = L^-1 K(X, B) and
+        the Schur complement S = K(B, B) + jitter*I - C^T C give the new
+        factor [[L, 0], [C^T, chol(S)]] (the block form of Rasmussen &
+        Williams 2006, Alg. 2.1). Costs O(n^2 m + n m^2 + m^3) instead of a
+        full refit; falls back to a refit (with jitter escalation) if S is not
+        positive definite. Points closer than ``DUPLICATE_TOL`` to an observed
+        point or to each other are rejected.
         """
-        p = kernels.as_point(self.spec, x)
-        n = len(self)
-        if n:
-            gap = float(np.sqrt(((self.obs.points - p) ** 2).sum(axis=1)).min())
-            if gap < DUPLICATE_TOL:
-                raise DuplicateObservationError(
-                    f"point already observed (distance {gap:g})"
-                )
+        block = kernels.as_points(self.spec, points)
+        n, m = len(self), block.shape[0]
+        gap = math.inf
+        if n and m:
+            gap = float(cdist(self.obs.points, block).min())
+        if m > 1:
+            gap = min(gap, float(pdist(block).min()))
+        if gap < DUPLICATE_TOL:
+            raise DuplicateObservationError(
+                f"point already observed or repeated in the block (distance {gap:g})"
+            )
         new_obs = ObservationSet(
-            np.vstack([self.obs.points, p[None, :]]),
-            np.append(self.obs.values, float(fx)),
+            np.vstack([self.obs.points, block]),
+            np.append(self.obs.values, np.asarray(values, dtype=float)),
         )
-        if n == 0:
-            return fit(self.spec, new_obs, self.jitter)
-        k = kernels.pairwise(self.spec, self.obs.points, p[None, :])[:, 0]
+        k = kernels.pairwise(self.spec, self.obs.points, block)
         c = solve_triangular(self.chol, k, lower=True, check_finite=False)
-        pivot = self.spec.output_scale + self.jitter - float(c @ c)
-        if pivot <= 0.0:
+        kbb = kernels.pairwise(self.spec, block, block)
+        schur = kbb + self.jitter * np.eye(m) - c.T @ c
+        try:
+            corner = np.linalg.cholesky(schur)
+        except np.linalg.LinAlgError:
             return fit(self.spec, new_obs, self.jitter)
-        chol = np.zeros((n + 1, n + 1))
+        chol = np.zeros((n + m, n + m))
         chol[:n, :n] = self.chol
-        chol[n, :n] = c
-        chol[n, n] = math.sqrt(pivot)
+        chol[n:, :n] = c.T
+        chol[n:, n:] = corner
         weights = cho_solve((chol, True), new_obs.values, check_finite=False)
         return GPPosterior(self.spec, new_obs, self.jitter, chol, weights)
 

@@ -15,7 +15,7 @@ from bnbopt.bnb import (
     run,
     shrink,
 )
-from bnbopt.gp import ObservationSet, fit
+from bnbopt.gp import GPPosterior, ObservationSet, fit
 from bnbopt.kernels import KernelSpec
 from bnbopt.lattice import DyadicGrid
 
@@ -161,6 +161,51 @@ class TestDensify:
                                     lambda x: float(x[0]), max_new=1)
         assert [p[0] for p, _ in new] == [0.0]
         assert truncated
+
+    @staticmethod
+    def _record_calls(monkeypatch):
+        """Log objective values and wrap GPPosterior.extend with a counter."""
+        events = []
+        original = GPPosterior.extend
+
+        def counting_extend(self, points, values):
+            events.append(("extend", np.array(points), list(values)))
+            return original(self, points, values)
+
+        def objective(x):
+            events.append(("objective", float(x[0])))
+            return float(x[0]) ** 2
+
+        monkeypatch.setattr(GPPosterior, "extend", counting_extend)
+        return events, objective
+
+    def test_whole_cover_evaluated_then_appended_once(self, monkeypatch):
+        events, objective = self._record_calls(monkeypatch)
+        grid = unit_grid().refine().refine()  # level 2: 5 cover points
+        seeded = fit(spec_se(), ObservationSet(np.array([[0.5]]), np.array([0.25])))
+        post, new, truncated = densify(seeded, initial_region(grid), grid,
+                                       objective)
+        assert [e[0] for e in events] == ["objective"] * 4 + ["extend"]
+        _, block, values = events[-1]
+        assert block[:, 0].tolist() == [0.0, 0.25, 0.75, 1.0]
+        assert values == [0.0, 0.0625, 0.5625, 1.0]
+        assert len(post) == 5 and len(new) == 4 and not truncated
+
+    def test_truncated_pass_appends_the_evaluated_prefix(self, monkeypatch):
+        events, objective = self._record_calls(monkeypatch)
+        grid = unit_grid().refine().refine()
+        seeded = fit(spec_se(), ObservationSet(np.array([[0.25]]), np.array([0.0625])))
+        post, new, truncated = densify(seeded, initial_region(grid), grid,
+                                       objective, max_new=2)
+        assert truncated
+        assert [e[0] for e in events] == ["objective"] * 2 + ["extend"]
+        evaluated = [e[1] for e in events[:-1]]
+        _, block, values = events[-1]
+        assert evaluated == [0.0, 0.5]  # lattice order, seen point skipped
+        assert block[:, 0].tolist() == evaluated
+        assert values == [0.0, 0.25]
+        assert [p[0] for p, _ in new] == evaluated
+        assert post.obs.points[1:, 0].tolist() == evaluated
 
 
 def constant_objective(c, dim=1):

@@ -141,20 +141,24 @@ class TestVerify:
                        "--lengthscale", "0.05", "--out", str(tmp_path / "v"))
         assert code == 3
 
-    def test_variance_bad_level_lists_are_usage_errors(self, tmp_path):
+    def test_variance_bad_level_lists_are_usage_errors(self, tmp_path, capsys):
         # a repeated level and an empty range are bad input, not a failed check
-        for levels in ("1,1,2", "3..1"):
+        for levels, message in (("1,1,2", "strictly ascending, got [1, 1, 2]"),
+                                ("3..1", "empty level range '3..1'")):
             code = run_cli("verify", "variance", "--levels", levels,
                            "--out", str(tmp_path / "v"))
             assert code == 2, levels
+            assert message in capsys.readouterr().err
 
     def test_envelope_verification_passes(self, tmp_path):
-        out = tmp_path / "e"
-        code = run_cli("verify", "envelope", "--alpha", "0.1", "--seeds", "100",
-                       "--budget", "200", "--max-level", "8", "--out", str(out))
-        assert code == 0
-        rows = read_csv(out / "envelope" / "envelope.csv")
-        assert len(rows) == 100
+        # a count N audits seeds 0..N-1, a range A..B audits seeds A..B
+        for seeds, expected in (("100", range(100)), ("5..104", range(5, 105))):
+            out = tmp_path / seeds
+            code = run_cli("verify", "envelope", "--alpha", "0.1", "--seeds", seeds,
+                           "--budget", "200", "--max-level", "8", "--out", str(out))
+            assert code == 0, seeds
+            rows = read_csv(out / "envelope" / "envelope.csv")
+            assert [int(r["seed"]) for r in rows] == list(expected)
 
     def test_unknown_target_is_usage_error(self, tmp_path):
         assert run_cli("verify", "entropy", "--out", str(tmp_path)) == 2

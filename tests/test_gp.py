@@ -191,7 +191,7 @@ class TestExtend:
     def test_extend_empty_equals_single_fit(self):
         spec = spec_se(ls=0.5)
         empty = fit(spec, ObservationSet.empty(1))
-        extended = empty.extend([0.4], 2.0)
+        extended = empty.extend([[0.4]], [2.0])
         batch = fit(spec, ObservationSet(np.array([[0.4]]), np.array([2.0])),
                     empty.jitter)
         for x in ([0.1], [0.4], [0.9]):
@@ -203,7 +203,7 @@ class TestExtend:
     def test_extend_then_predict_interpolates(self):
         spec = spec_se(ls=0.5)
         post = fit(spec, ObservationSet(np.array([[0.1]]), np.array([0.3])))
-        post = post.extend([0.7], -1.2)
+        post = post.extend([[0.7]], [-1.2])
         mu, sigma = post.predict([0.7])
         assert mu == pytest.approx(-1.2, abs=1e-8)
         assert sigma <= 1e-4
@@ -216,7 +216,7 @@ class TestExtend:
         jitter = 1e-10
         post = fit(spec, ObservationSet.empty(2), jitter)
         for p, v in zip(pts, vals):
-            post = post.extend(p, v)
+            post = post.extend(p[None, :], [v])
         batch = fit(spec, ObservationSet(pts, vals), jitter)
         probes = rng.uniform(0, 1, size=(20, 2))
         mu_i, sig_i = post.predict_batch(probes)
@@ -224,13 +224,81 @@ class TestExtend:
         assert np.max(np.abs(mu_i - mu_b)) <= 1e-9
         assert np.max(np.abs(sig_i - sig_b)) <= 1e-9
 
+    # these separations keep the Gram condition number below 1e4; at 0.25
+    # lengthscales in 1-D (cond ~1e8) any two factor orders, sequential
+    # against fit included, differ by ~1e-8 in the mean
+    @pytest.mark.parametrize("dim, n, sep, ls", [(1, 10, 0.08, 0.1),
+                                                 (3, 30, 0.15, 0.4)])
+    def test_block_sequential_and_fit_agree(self, dim, n, sep, ls):
+        rng = np.random.default_rng(40 + dim)
+        spec = spec_se(dim=dim, ls=ls)
+        pts = _separated_points(rng, n, dim, sep)
+        vals = rng.normal(size=n)
+        jitter = 1e-10
+        head = n // 3  # a non-empty prior posterior, then one block
+        prior = fit(spec, ObservationSet(pts[:head], vals[:head]), jitter)
+        block = prior.extend(pts[head:], vals[head:])
+        sequential = prior
+        for p, v in zip(pts[head:], vals[head:]):
+            sequential = sequential.extend(p[None, :], [v])
+        batch = fit(spec, ObservationSet(pts, vals), jitter)
+        assert np.array_equal(block.obs.points, batch.obs.points)
+        assert block.jitter == sequential.jitter == batch.jitter == jitter
+        probes = np.vstack([pts, rng.uniform(0, 1, size=(40, dim))])
+        mu_b, sig_b = batch.predict_batch(probes)
+        for post in (block, sequential):
+            mu, sig = post.predict_batch(probes)
+            assert np.max(np.abs(mu - mu_b)) <= 1e-9
+            assert np.max(np.abs(sig - sig_b)) <= 1e-9
+
+    def test_empty_block_keeps_points_and_predictions(self):
+        spec = spec_se(ls=0.5)
+        post = fit(spec, ObservationSet(np.array([[0.2], [0.7]]),
+                                        np.array([1.0, -0.5])))
+        same = post.extend(np.zeros((0, 1)), [])
+        assert np.array_equal(same.obs.points, post.obs.points)
+        assert np.array_equal(same.obs.values, post.obs.values)
+        probes = np.linspace(0, 1, 11).reshape(-1, 1)
+        for a, b in zip(same.predict_batch(probes), post.predict_batch(probes)):
+            assert np.array_equal(a, b)
+        empty = fit(spec, ObservationSet.empty(1)).extend(np.zeros((0, 1)), [])
+        assert len(empty) == 0
+
     def test_duplicate_rejected(self):
         spec = spec_se()
         post = fit(spec, ObservationSet(np.array([[0.5]]), np.array([1.0])))
         with pytest.raises(DuplicateObservationError):
-            post.extend([0.5], 1.0)
+            post.extend([[0.5]], [1.0])
         with pytest.raises(DuplicateObservationError):
-            post.extend([0.5 + 1e-13], 1.0)
+            post.extend([[0.5 + 1e-13]], [1.0])
+        # the same two distances between two points of one block
+        for other in ([0.1], [0.1 + 1e-13]):
+            with pytest.raises(DuplicateObservationError):
+                post.extend([[0.1], [0.3], other], [1.0, 2.0, 3.0])
+            with pytest.raises(DuplicateObservationError):
+                fit(spec, ObservationSet.empty(1)).extend([[0.1], other],
+                                                          [1.0, 2.0])
+
+    @pytest.mark.parametrize("block", [[[0.5 + 1e-9]], [[0.1], [0.5 + 1e-9]]])
+    def test_indefinite_schur_complement_refits(self, block):
+        # at zero jitter a point one nanometre from an observed one gives a
+        # bitwise-identical Gram row, so the Schur complement is singular
+        spec = spec_se()
+        post = fit(spec, ObservationSet(np.array([[0.5], [0.9]]),
+                                        np.array([1.0, -1.0])), jitter=0.0)
+        assert post.jitter == 0.0
+        vals = np.arange(1.0, len(block) + 1.0)
+        extended = post.extend(block, vals)
+        refit = fit(spec, ObservationSet(np.vstack([post.obs.points, block]),
+                                         np.append(post.obs.values, vals)),
+                    jitter=0.0)
+        assert refit.jitter > 0.0
+        assert extended.jitter == refit.jitter
+        assert np.array_equal(extended.chol, refit.chol)
+        probes = np.linspace(0, 1, 11).reshape(-1, 1)
+        for a, b in zip(extended.predict_batch(probes),
+                        refit.predict_batch(probes)):
+            assert np.array_equal(a, b)
 
     def test_monotone_variance_reduction(self):
         rng = np.random.default_rng(14)
@@ -238,7 +306,7 @@ class TestExtend:
         post = fit(spec, ObservationSet(np.array([[0.2]]), np.array([0.5])))
         probes = rng.uniform(0, 1, size=(30, 1))
         _, before = post.predict_batch(probes)
-        post = post.extend([0.6], 1.0)
+        post = post.extend([[0.6]], [1.0])
         _, after = post.predict_batch(probes)
         assert np.all(after <= before + 1e-8)
 

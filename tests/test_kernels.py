@@ -128,7 +128,7 @@ class TestGram:
 
 
 class TestCross:
-    """pairwise(points, [x]), the column a rank-one append needs."""
+    """pairwise(points, [x]), the column a one-row block append needs."""
 
     def test_first_entry_one_when_x_is_first_point(self):
         spec = spec_se()
