@@ -7,8 +7,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
-from . import gp
+from . import gp, kernels
 from .bnb import RunConfig, RunTrace, ShrinkEvent, beta, run
 from .errors import GridTooLargeError, IllConditionedError, InsufficientDataError
 from .kernels import KernelSpec
@@ -134,27 +135,42 @@ def plain_ucb_run(objective, spec: KernelSpec, grid: DyadicGrid,
     No region shrinking. The candidate lattice is the deepest level within
     the enumeration cap; ties resolve to the lexicographically first point.
     Stops when the budget is spent or the lattice is exhausted.
+
+    The posterior over the fixed lattice is carried across steps instead of
+    re-predicted: rows of K(X, pts) and V = L^-1 K(X, pts) are appended one
+    per evaluation, and the variances fall by the new row of V squared, so a
+    step costs O(n m) instead of O(n^2 m). When `extend` refits, the
+    leading block of the factor changes and V is recomputed from it.
     """
     level = enumeration_level(grid)
     pts = grid.points(level)
     lattice_size = grid.num_points(grid.max_level)
     post = gp.fit(spec, gp.ObservationSet.empty(grid.dim), config.jitter)
+    steps = min(config.max_evaluations, len(pts))
+    kx = np.zeros((steps, len(pts)))
+    v = np.zeros((steps, len(pts)))
+    var = np.full(len(pts), spec.output_scale)
     available = np.ones(len(pts), dtype=bool)
-    points: list[np.ndarray] = []
-    values: list[float] = []
-    for t in range(1, min(config.max_evaluations, len(pts)) + 1):
-        root = math.sqrt(max(beta(t, lattice_size, config.alpha), 0.0))
-        cand = pts[available]
-        mus, sigmas = post.predict_batch(cand)
-        local = int(np.argmax(mus + root * sigmas))
-        pick = int(np.flatnonzero(available)[local])
+    for n in range(steps):
+        root = math.sqrt(max(beta(n + 1, lattice_size, config.alpha), 0.0))
+        mus = kx[:n].T @ post.weights
+        score = np.where(available, mus + root * np.sqrt(np.clip(var, 0.0, None)),
+                         -np.inf)
+        pick = int(np.argmax(score))
         x = pts[pick]
-        fx = float(objective(x))
-        post = post.extend(x[None, :], [fx])
+        prev = post.chol
+        post = post.extend(x[None, :], [float(objective(x))])
         available[pick] = False
-        points.append(x.copy())
-        values.append(fx)
-    return RunTrace(np.asarray(points), np.asarray(values), [], truncated=False)
+        kx[n] = kernels.pairwise(spec, x[None, :], pts)[0]
+        chol = post.chol
+        if np.array_equal(chol[:n, :n], prev):
+            v[n] = (kx[n] - chol[n, :n] @ v[:n]) / chol[n, n]
+            var -= v[n] ** 2
+        else:  # refit: the factor changed, so V is stale
+            v[: n + 1] = solve_triangular(chol, kx[: n + 1], lower=True,
+                                          check_finite=False)
+            var = spec.output_scale - np.einsum("ij,ij->j", v[: n + 1], v[: n + 1])
+    return RunTrace(post.obs.points, post.obs.values, [], truncated=False)
 
 
 def random_run(objective, grid: DyadicGrid, config: RunConfig) -> RunTrace:

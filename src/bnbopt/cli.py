@@ -228,13 +228,13 @@ def cmd_compare(args) -> int:
             raise ValueError(f"unknown strategy {s!r}; choose from {STRATEGIES}")
     seeds = _parse_seeds(args.seeds)
     settings.out_dir.mkdir(parents=True, exist_ok=True)
+    # one objective per seed, shared by every strategy
+    built = {seed: _build_objective(args.objective, settings, seed) for seed in seeds}
     summary_rows = []
     for strategy in strategies:
         finals, cumulatives, amps, rates, r2s = [], [], [], [], []
         for seed in seeds:
-            objective, run_max_level = _build_objective(
-                args.objective, settings, seed
-            )
+            objective, run_max_level = built[seed]
             trace = _run_strategy(strategy, objective, settings, seed, run_max_level)
             _write_trace_csv(
                 settings.out_dir / f"{strategy}_seed{seed}_trace.csv",

@@ -45,6 +45,21 @@ class ObservationSet:
     def __len__(self) -> int:
         return self.points.shape[0]
 
+    def _append(self, points: np.ndarray, values) -> "ObservationSet":
+        """This set plus points the caller has already shown to be new and distinct.
+
+        Skips the whole-set distinctness check, which `GPPosterior.extend`'s
+        distance checks make redundant.
+        """
+        pts = np.vstack([self.points, points])
+        vals = np.append(self.values, np.asarray(values, dtype=float))
+        if vals.shape != (pts.shape[0],):
+            raise ValueError("points and values must have matching lengths")
+        out = object.__new__(ObservationSet)
+        object.__setattr__(out, "points", pts)
+        object.__setattr__(out, "values", vals)
+        return out
+
 
 def _factor(K: np.ndarray, jitter: float, scale: float, points: np.ndarray):
     """Cholesky of K + jitter*I, escalating jitter tenfold up to the cap.
@@ -130,10 +145,7 @@ class GPPosterior:
             raise DuplicateObservationError(
                 f"point already observed or repeated in the block (distance {gap:g})"
             )
-        new_obs = ObservationSet(
-            np.vstack([self.obs.points, block]),
-            np.append(self.obs.values, np.asarray(values, dtype=float)),
-        )
+        new_obs = self.obs._append(block, values)
         k = kernels.pairwise(self.spec, self.obs.points, block)
         c = solve_triangular(self.chol, k, lower=True, check_finite=False)
         kbb = kernels.pairwise(self.spec, block, block)

@@ -18,7 +18,8 @@ from bnbopt.bench import (
     variance_bound_experiment,
     RegretSeries,
 )
-from bnbopt.bnb import RunConfig, RunTrace
+from bnbopt import gp
+from bnbopt.bnb import RunConfig, RunTrace, beta
 from bnbopt.errors import GridTooLargeError, InsufficientDataError
 from bnbopt.gp import ObservationSet, fit
 from bnbopt.kernels import KernelSpec
@@ -156,6 +157,62 @@ class TestPlainUcb:
         assert {tuple(p) for p in trace.points} == {
             tuple(p) for p in grid.points(3)
         }
+
+
+def reference_ucb_run(objective, spec, grid, config):
+    """The re-predicting UCB loop: predict_batch over the available points at
+    every step, then a one-row extend. The incremental baseline must match it."""
+    pts = grid.points(enumeration_level(grid))
+    lattice_size = grid.num_points(grid.max_level)
+    post = fit(spec, ObservationSet.empty(grid.dim), config.jitter)
+    available = np.ones(len(pts), dtype=bool)
+    points, values = [], []
+    for t in range(1, min(config.max_evaluations, len(pts)) + 1):
+        root = math.sqrt(max(beta(t, lattice_size, config.alpha), 0.0))
+        mus, sigmas = post.predict_batch(pts[available])
+        pick = int(np.flatnonzero(available)[int(np.argmax(mus + root * sigmas))])
+        fx = float(objective(pts[pick]))
+        post = post.extend(pts[pick][None, :], [fx])
+        available[pick] = False
+        points.append(pts[pick].copy())
+        values.append(fx)
+    return np.asarray(points), np.asarray(values)
+
+
+class TestUcbMatchesReference:
+    # (family, dim, lengthscale, lattice level, table level, budget, seeds, jitter);
+    # the 2-D draw is tabulated a level coarser (1089 points, not 4225) and
+    # interpolated in between, which keeps its Cholesky small
+    @pytest.mark.parametrize("family, dim, ls, level, table, budget, seeds, jitter", [
+        ("se", 1, 0.3, 10, 10, 200, range(5), None),
+        ("matern52", 1, 0.2, 10, 10, 200, range(5), None),
+        ("se", 2, 0.4, 6, 5, 150, range(3), None),
+        # zero jitter makes extend refit, so V is recomputed mid-run
+        ("se", 1, 0.3, 8, 8, 60, range(6), 0.0),
+    ])
+    def test_bitwise_equal_traces(self, monkeypatch, family, dim, ls, level,
+                                  table, budget, seeds, jitter):
+        spec = KernelSpec.isotropic(family, dim, ls)
+        grid = unit_grid(dim, max_level=level)
+        refits = []
+        original_extend = gp.GPPosterior.extend
+
+        def watched_extend(post, points, values):
+            out = original_extend(post, points, values)
+            n = len(post)
+            refits.append(not np.array_equal(out.chol[:n, :n], post.chol))
+            return out
+
+        monkeypatch.setattr(gp.GPPosterior, "extend", watched_extend)
+        for seed in seeds:
+            obj = gp_sample_objective(spec, grid, table, seed)
+            config = RunConfig(alpha=0.1, max_evaluations=budget, jitter=jitter,
+                               seed=seed)
+            trace = plain_ucb_run(obj, spec, grid, config)
+            points, values = reference_ucb_run(obj, spec, grid, config)
+            assert trace.points.tobytes() == points.tobytes()
+            assert trace.values.tobytes() == values.tobytes()
+        assert any(refits) == (jitter == 0.0)
 
 
 class TestRandomRun:

@@ -5,6 +5,7 @@ import os
 
 import numpy as np
 
+from bnbopt import bench
 from bnbopt.cli import main
 
 
@@ -108,6 +109,23 @@ class TestCompare:
         bnb_cum = float(summary["bnb"]["median_final_cumulative_regret"])
         ucb_cum = float(summary["ucb"]["median_final_cumulative_regret"])
         assert bnb_cum < ucb_cum
+
+    def test_each_seed_objective_built_once(self, tmp_path, monkeypatch):
+        built = []
+        original = bench.gp_sample_objective
+
+        def counting(*args, **kwargs):
+            built.append(args[3])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "gp_sample_objective", counting)
+        out = tmp_path / "once"
+        code = run_cli("compare", "--objective", "gp-sample", "--strategies",
+                       "bnb,ucb", "--seeds", "0..2", "--budget", "20",
+                       "--max-level", "5", "--out", str(out))
+        assert code == 0
+        assert built == [0, 1, 2]
+        assert len(list(out.glob("*_trace.csv"))) == 6
 
     def test_unknown_strategy_is_usage_error(self, tmp_path):
         assert run_cli("compare", "--strategies", "sgd",

@@ -279,6 +279,13 @@ class TestExtend:
                 fit(spec, ObservationSet.empty(1)).extend([[0.1], other],
                                                           [1.0, 2.0])
 
+    def test_value_count_mismatch_rejected(self):
+        post = fit(spec_se(), ObservationSet(np.array([[0.5]]), np.array([1.0])))
+        with pytest.raises(ValueError, match="matching lengths"):
+            post.extend([[0.1], [0.3]], [1.0])
+        with pytest.raises(ValueError, match="matching lengths"):
+            post.extend([[0.1]], [1.0, 2.0])
+
     @pytest.mark.parametrize("block", [[[0.5 + 1e-9]], [[0.1], [0.5 + 1e-9]]])
     def test_indefinite_schur_complement_refits(self, block):
         # at zero jitter a point one nanometre from an observed one gives a
