@@ -307,10 +307,6 @@ class EnvelopeReport:
         """Fraction of runs whose envelope held at every shrink candidate."""
         return float(np.mean(self.max_ratios <= 1.0))
 
-    def coverage_at(self, beta_scale: float) -> float:
-        """Coverage had beta been scaled by `beta_scale` on the same runs."""
-        return float(np.mean(self.max_ratios <= math.sqrt(beta_scale)))
-
     @property
     def retention(self) -> float:
         """Fraction of runs keeping the true argmax in the region throughout."""
@@ -329,10 +325,10 @@ class _EnvelopeAudit:
         self.retained = True
 
     def __call__(self, event: ShrinkEvent) -> None:
-        mus, sigmas = event.posterior.predict_batch(event.candidates)
+        record = event.record
         f = np.array([self.objective(c) for c in event.candidates])
-        resid = np.abs(f - mus)
-        env = math.sqrt(max(event.beta, 0.0)) * sigmas
+        resid = np.abs(f - event.mus)
+        env = math.sqrt(max(record.beta_T, 0.0)) * event.sigmas
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(
                 env > 0.0,
@@ -341,7 +337,7 @@ class _EnvelopeAudit:
             )
         self.max_ratio = max(self.max_ratio, float(ratio.max()))
         xstar = self.objective.known_max_point
-        if xstar is not None and not event.region_after.contains(
+        if xstar is not None and not record.region_after.contains(
             xstar, self.grid.lower, self.grid.upper
         ):
             self.retained = False

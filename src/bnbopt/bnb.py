@@ -53,16 +53,18 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class ShrinkEvent:
-    """Snapshot handed to a run observer after each shrink."""
+    """Handed to a run observer after each shrink.
 
-    posterior: gp.GPPosterior
-    beta: float
+    ``record`` is the iteration's entry in ``RunTrace.iterations``; the
+    arrays are the shrink candidates, their posterior mean and deviation,
+    and the kept subset, which the trace does not keep.
+    """
+
+    record: IterationRecord
     candidates: np.ndarray
+    mus: np.ndarray
+    sigmas: np.ndarray
     kept: np.ndarray
-    region_before: RegionBall
-    region_after: RegionBall
-    level: int
-    T: int
 
 
 @dataclass
@@ -171,7 +173,8 @@ def shrink(post: gp.GPPosterior, beta_value: float, candidates):
     The comparison is non-strict (ucb >= sup lcb) so the LCB argmax itself
     always survives and ``kept`` is never empty. The ball is centred midway
     between the farthest kept pair with radius equal to their full distance.
-    Returns (kept, new_region, sup_lcb).
+    Returns (kept, new_region, sup_lcb, mus, sigmas), the last two being the
+    posterior mean and deviation at the candidates.
     """
     cands = np.asarray(candidates, dtype=float)
     if cands.ndim != 2 or cands.shape[0] == 0:
@@ -185,10 +188,11 @@ def shrink(post: gp.GPPosterior, beta_value: float, candidates):
     sup_lcb = float(lcbs.max())
     kept = cands[ucbs >= sup_lcb]
     if kept.shape[0] == 1:
-        return kept, RegionBall(kept[0].copy(), 0.0), sup_lcb
+        return kept, RegionBall(kept[0].copy(), 0.0), sup_lcb, mus, sigmas
     dists = cdist(kept, kept)
     i, j = np.unravel_index(int(np.argmax(dists)), dists.shape)
-    return kept, RegionBall(0.5 * (kept[i] + kept[j]), float(dists[i, j])), sup_lcb
+    region = RegionBall(0.5 * (kept[i] + kept[j]), float(dists[i, j]))
+    return kept, region, sup_lcb, mus, sigmas
 
 
 def run(objective, spec: KernelSpec, grid: DyadicGrid, config: RunConfig,
@@ -215,24 +219,19 @@ def run(objective, spec: KernelSpec, grid: DyadicGrid, config: RunConfig,
     lattice_size = grid.num_points(grid.max_level)
     post = gp.fit(spec, gp.ObservationSet.empty(grid.dim), config.jitter)
     region = initial_region(grid)
-    points: list[np.ndarray] = []
-    values: list[float] = []
     iterations: list[IterationRecord] = []
     truncated = False
     iteration = 0
 
-    while len(values) < config.max_evaluations:
+    while len(post) < config.max_evaluations:
         try:
             grid = grid.refine()
         except ResolutionExhausted:
             break
         iteration += 1
         post, new, truncated = densify(
-            post, region, grid, objective, config.max_evaluations - len(values)
+            post, region, grid, objective, config.max_evaluations - len(post)
         )
-        for p, fx in new:
-            points.append(p)
-            values.append(fx)
         if truncated:
             break
         # Probe candidates on a finer lattice than the samples: between
@@ -246,42 +245,35 @@ def run(objective, spec: KernelSpec, grid: DyadicGrid, config: RunConfig,
         candidates = probe.cover_points(region)
         if candidates.shape[0] == 0:
             break
-        T = len(values)
+        T = len(post)
         beta_T = beta(T, lattice_size, config.alpha)
-        kept, new_region, sup_lcb = shrink(post, beta_T, candidates)
-        iterations.append(
-            IterationRecord(
-                iteration=iteration,
-                level=grid.level,
-                delta=grid.delta(),
-                new_points_count=len(new),
-                T_after=T,
-                beta_T=beta_T,
-                sup_lcb=sup_lcb,
-                region_before=region,
-                region_after=new_region,
-                kept_count=int(kept.shape[0]),
-            )
+        kept, new_region, sup_lcb, mus, sigmas = shrink(post, beta_T, candidates)
+        record = IterationRecord(
+            iteration=iteration,
+            level=grid.level,
+            delta=grid.delta(),
+            new_points_count=len(new),
+            T_after=T,
+            beta_T=beta_T,
+            sup_lcb=sup_lcb,
+            region_before=region,
+            region_after=new_region,
+            kept_count=int(kept.shape[0]),
         )
+        iterations.append(record)
         if observer is not None:
-            observer(
-                ShrinkEvent(post, beta_T, candidates, kept, region, new_region,
-                            grid.level, T)
-            )
+            observer(ShrinkEvent(record, candidates, mus, sigmas, kept))
         region = new_region
         if region.radius == 0.0:
             # the ball pinpoints a single lattice point: sample it before
             # stopping so the conclusion is actually observed
             key = tuple(region.center)
             if (
-                len(values) < config.max_evaluations
+                len(post) < config.max_evaluations
                 and key not in {tuple(p) for p in post.obs.points}
             ):
                 fx = float(objective(region.center))
                 post = post.extend(region.center[None, :], [fx])
-                points.append(region.center.copy())
-                values.append(fx)
             break
 
-    pts = np.asarray(points) if points else np.zeros((0, grid.dim))
-    return RunTrace(pts, np.asarray(values), iterations, truncated)
+    return RunTrace(post.obs.points, post.obs.values, iterations, truncated)

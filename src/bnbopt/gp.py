@@ -64,15 +64,17 @@ class ObservationSet:
 def _factor(K: np.ndarray, jitter: float, scale: float, points: np.ndarray):
     """Cholesky of K + jitter*I, escalating jitter tenfold up to the cap.
 
+    Adds the jitter to K's diagonal in place, so K is overwritten.
     Returns (lower_factor, jitter_actually_used).
     """
     cap = JITTER_CAP_FACTOR * scale
     j = float(jitter)
     n = K.shape[0]
-    eye = np.eye(n)
+    diag = K.diagonal().copy()
     while True:
+        np.fill_diagonal(K, diag + j)
         try:
-            return np.linalg.cholesky(K + j * eye), j
+            return np.linalg.cholesky(K), j
         except np.linalg.LinAlgError:
             nxt = j * 10.0 if j > 0.0 else 0.01 * DEFAULT_JITTER_FACTOR * scale
             if nxt > cap:

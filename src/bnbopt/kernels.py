@@ -13,8 +13,10 @@ from .errors import DimensionError
 FAMILIES = ("se", "matern52")
 
 _SQRT5 = math.sqrt(5.0)
-_FD_STEP = 1e-3
-_profile_d4_cache: dict[str, float] = {}
+# fourth derivative at zero of t -> profile(t^2), from the Taylor series:
+# e^{-t^2/2} = 1 - t^2/2 + t^4/8 - ... and, for Matern-5/2,
+# 1 - 5t^2/6 + 25t^4/24 - ..., so d4 = 4! times the t^4 coefficient
+_PROFILE_D4 = {"se": 3.0, "matern52": 25.0}
 
 
 @dataclass(frozen=True)
@@ -97,7 +99,14 @@ def pairwise(spec: KernelSpec, points_a, points_b) -> np.ndarray:
         return np.zeros((a.shape[0], b.shape[0]))
     ls = np.asarray(spec.lengthscales)
     sq = cdist(a / ls, b / ls, "sqeuclidean")
-    return spec.output_scale * _profile(spec.family, sq)
+    # work in the cdist buffer: a Gram matrix is the largest array a fit holds
+    if spec.family == "se":
+        sq *= -0.5
+        out = np.exp(sq, out=sq)
+    else:
+        out = _profile(spec.family, sq)
+    out *= spec.output_scale
+    return out
 
 
 def evaluate(spec: KernelSpec, x, y) -> float:
@@ -108,28 +117,13 @@ def evaluate(spec: KernelSpec, x, y) -> float:
     return float(spec.output_scale * _profile(spec.family, float(diff @ diff)))
 
 
-def _profile_fourth_derivative(family: str) -> float:
-    """Fourth derivative at zero of t -> profile(t^2), by central differences.
-
-    Five-point stencil at step 1e-3: small enough for the truncation error,
-    large enough that float cancellation stays below ~0.1%.
-    """
-    if family not in _profile_d4_cache:
-        h = _FD_STEP
-        t = np.array([-2.0 * h, -h, 0.0, h, 2.0 * h])
-        v = _profile(family, t * t)
-        d4 = (v[0] - 4.0 * v[1] + 6.0 * v[2] - 4.0 * v[3] + v[4]) / h**4
-        _profile_d4_cache[family] = float(d4)
-    return _profile_d4_cache[family]
-
-
 def smoothness_constant(spec: KernelSpec) -> float:
     """Constant Q bounding the posterior deviation by Q * delta^2 / 4 on covers.
 
     Defined through the curvature of the covariance along the diagonal:
-    Q = sqrt(output_scale * d4) / min(lengthscale)^2, with d4 the estimated
+    Q = sqrt(output_scale * d4) / min(lengthscale)^2, with d4 the exact
     fourth derivative of the unit profile at zero. Scales like
     sqrt(output_scale) and like 1/c^2 when all lengthscales are scaled by c.
     """
-    d4 = _profile_fourth_derivative(spec.family)
+    d4 = _PROFILE_D4[spec.family]
     return math.sqrt(spec.output_scale * d4) / min(spec.lengthscales) ** 2

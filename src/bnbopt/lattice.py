@@ -169,9 +169,3 @@ class DyadicGrid:
         pts = self._enumerate(self.level, *window)
         dist = np.sqrt(((pts - region.center) ** 2).sum(axis=1))
         return pts[dist <= region.radius + self.delta()]
-
-    def check_fineness(self, rho0: float) -> bool:
-        """True when the finest cell diagonal fits inside a ball of radius rho0."""
-        if not rho0 > 0.0:
-            raise ValueError("rho0 must be strictly positive")
-        return self.delta(self.max_level) < rho0

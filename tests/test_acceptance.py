@@ -255,8 +255,8 @@ def test_criterion_7_algorithmic_invariants():
     deltas = [rec.delta for rec in trace.iterations]
     halving = all(b == a / 2.0 for a, b in zip(deltas, deltas[1:]))
     kept_inside = all(
-        np.linalg.norm(p - ev.region_after.center)
-        <= ev.region_after.radius * (1 + 1e-12) + 1e-15
+        np.linalg.norm(p - ev.record.region_after.center)
+        <= ev.record.region_after.radius * (1 + 1e-12) + 1e-15
         for ev in events for p in ev.kept
     )
     identical = (trace.points.tobytes() == rerun.points.tobytes()

@@ -71,7 +71,7 @@ class TestShrink:
     def test_all_observed_distinct_values_keep_argmax_only(self):
         pts = np.array([[0.0], [0.5], [1.0]])
         post = self._observed_posterior(pts, np.array([0.0, 1.0, 2.0]))
-        kept, region, sup_lcb = shrink(post, 1.0, pts)
+        kept, region, sup_lcb, _, _ = shrink(post, 1.0, pts)
         assert kept.shape == (1, 1)
         assert kept[0, 0] == 1.0
         assert region.radius == 0.0
@@ -80,7 +80,7 @@ class TestShrink:
     def test_single_candidate(self):
         pts = np.array([[0.25]])
         post = self._observed_posterior(pts, np.array([1.0]))
-        kept, region, _ = shrink(post, 9.0, pts)
+        kept, region, _, _, _ = shrink(post, 9.0, pts)
         assert np.array_equal(kept, pts)
         assert region.radius == 0.0
         assert region.center[0] == 0.25
@@ -90,10 +90,19 @@ class TestShrink:
         # non-strict rule keeps the whole pair
         pts = np.array([[0.0, 0.0], [2.0, 0.0]])
         post = fit(KernelSpec.isotropic("se", 2, 1.0), ObservationSet.empty(2))
-        kept, region, _ = shrink(post, 4.0, pts)
+        kept, region, _, _, _ = shrink(post, 4.0, pts)
         assert kept.shape[0] == 2
         assert np.array_equal(region.center, np.array([1.0, 0.0]))
         assert region.radius == 2.0  # full pair distance, not halved
+
+    def test_returns_the_candidate_predictions_bitwise(self):
+        pts = np.array([[0.0], [0.5], [1.0]])
+        post = self._observed_posterior(pts, np.array([0.0, 1.0, 0.5]))
+        cands = np.linspace(0.0, 1.0, 17)[:, None]
+        *_, mus, sigmas = shrink(post, 4.0, cands)
+        ref_mus, ref_sigmas = post.predict_batch(cands)
+        assert mus.tobytes() == ref_mus.tobytes()
+        assert sigmas.tobytes() == ref_sigmas.tobytes()
 
     def test_empty_candidates_rejected(self):
         post = fit(spec_se(), ObservationSet.empty(1))
@@ -294,10 +303,17 @@ class TestRunInvariants:
         self._gp_run(seed=3, observer=events.append)
         assert events
         for ev in events:
-            mid = ev.region_after.center
-            radius = ev.region_after.radius
+            mid = ev.record.region_after.center
+            radius = ev.record.region_after.radius
             for p in ev.kept:
                 assert np.linalg.norm(p - mid) <= radius * (1 + 1e-12) + 1e-15
+
+    def test_event_record_is_the_trace_record(self):
+        events = []
+        trace, _, _ = self._gp_run(seed=3, observer=events.append)
+        assert len(events) == len(trace.iterations) > 0
+        for k, ev in enumerate(events):
+            assert ev.record is trace.iterations[k]
 
     def test_delta_halves_and_beta_nondecreasing(self):
         trace, _, _ = self._gp_run(seed=4)
@@ -330,10 +346,8 @@ class TestRunInvariants:
             observer=events.append)
         for ev in events:
             f = np.array([obj(c) for c in ev.candidates])
-            mus, sigmas = ev.posterior.predict_batch(ev.candidates)
-            envelope_ok = np.all(
-                np.abs(f - mus) <= math.sqrt(ev.beta) * sigmas + 1e-12
-            )
+            env = math.sqrt(ev.record.beta_T) * ev.sigmas
+            envelope_ok = np.all(np.abs(f - ev.mus) <= env + 1e-12)
             assert envelope_ok  # seed chosen to satisfy the envelope
             best = ev.candidates[int(np.argmax(f))]
             assert any(np.array_equal(best, k) for k in ev.kept)

@@ -9,10 +9,10 @@ from bnbopt.errors import DimensionError
 from bnbopt.kernels import KernelSpec, evaluate, pairwise, smoothness_constant
 
 EXP_MINUS_ONE = 0.36787944117144233  # high-precision e^-1, 50-digit arithmetic
-# five-point central differences of the unit profiles at step 1e-3,
-# evaluated in 50-digit arithmetic
-FD4_SE_UNIT = 2.9999975
-FD4_M52_UNIT = 24.9305374974
+# fourth derivatives at zero of the unit profiles t -> k(t^2), 4! times the
+# t^4 Taylor coefficient: 1/8 for SE, 25/24 for Matern-5/2
+D4_SE_UNIT = 3.0
+D4_M52_UNIT = 25.0
 
 
 def spec_se(dim=1, ls=1.0, scale=1.0):
@@ -160,12 +160,13 @@ class TestSmoothnessConstant:
             assert ratio == pytest.approx(9.0, rel=1e-9)
 
     def test_against_finite_difference_oracle(self):
-        # unit-lengthscale profiles vs the 50-digit five-point stencil values
+        # unit-lengthscale profiles vs the exact fourth derivatives, which a
+        # five-point stencil at step 1e-3 approaches to about 0.3 %
         assert smoothness_constant(spec_se()) == pytest.approx(
-            math.sqrt(FD4_SE_UNIT), rel=1e-4
+            math.sqrt(D4_SE_UNIT), rel=1e-12
         )
         assert smoothness_constant(spec_m52()) == pytest.approx(
-            math.sqrt(FD4_M52_UNIT), rel=1e-4
+            math.sqrt(D4_M52_UNIT), rel=1e-12
         )
 
     def test_output_scale_doubling_scales_by_sqrt2(self):

@@ -186,20 +186,6 @@ class TestDivisibility:
                 assert tuple(doubled) in pts
 
 
-class TestFineness:
-    def test_huge_radius_trivially_fine(self):
-        assert grid_2d(max_level=4).check_fineness(10.0)
-
-    def test_zero_radius_rejected(self):
-        with pytest.raises(ValueError):
-            grid_1d().check_fineness(0.0)
-
-    def test_1d_max_level_10_against_1_over_512(self):
-        g = grid_1d(max_level=10)
-        assert g.check_fineness(1.0 / 512.0)  # 1/1024 < 1/512
-        assert not g.check_fineness(1.0 / 1024.0)  # not strictly below
-
-
 class TestRegionBall:
     def test_membership_includes_box_clipping(self):
         ball = RegionBall(np.array([0.1, 0.1]), 0.5)

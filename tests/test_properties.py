@@ -57,18 +57,16 @@ def test_evaluated_points_in_region_are_shrink_candidates(problem):
     # the shrink candidates are the probe cover alone: every point evaluated
     # so far that lies in the region being shrunk must be one of them, bitwise
     objective, spec, grid, config = problem
-    shrinks = []
-
-    def observer(event):
-        evaluated = event.posterior.obs.points
-        assert evaluated.shape[0] == event.T
-        assert len({p.tobytes() for p in evaluated}) == event.T
+    events = []
+    trace = run(objective, spec, grid, config, observer=events.append)
+    assert len(events) == len(trace.iterations)
+    assert len({p.tobytes() for p in trace.points}) == len(trace)
+    for event in events:
+        rec = event.record
+        evaluated = trace.points[:rec.T_after]
+        assert evaluated.shape[0] == rec.T_after
+        assert len({p.tobytes() for p in evaluated}) == rec.T_after
         candidates = {c.tobytes() for c in event.candidates}
         for p in evaluated:
-            if event.region_before.contains(p, grid.lower, grid.upper):
+            if rec.region_before.contains(p, grid.lower, grid.upper):
                 assert p.tobytes() in candidates
-        shrinks.append(event.T)
-
-    trace = run(objective, spec, grid, config, observer=observer)
-    assert len(shrinks) == len(trace.iterations)
-    assert len({p.tobytes() for p in trace.points}) == len(trace)
