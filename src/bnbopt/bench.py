@@ -41,14 +41,22 @@ class Objective:
         return float(self.fn(np.asarray(x, dtype=float)))
 
 
-def gp_sample_objective(spec: KernelSpec, grid: DyadicGrid, level: int,
-                        seed: int, jitter: float | None = None) -> Objective:
-    """Tabulate one prior draw over the level-`level` lattice.
+@dataclass(frozen=True)
+class TablePrior:
+    """The prior over one table lattice, shared by every seed drawn on it.
 
-    Evaluation at a table point is an exact lookup; any other point gets the
-    posterior-mean interpolant conditioned on the full table. The known
-    maximum is the table argmax.
+    ``post`` is a zero-valued fit on the lattice: its points, the factor of
+    the jittered Gram matrix and the jitter actually used depend only on
+    (spec, lattice, jitter). ``index`` maps each point, as a tuple, to its row.
     """
+
+    post: gp.GPPosterior
+    index: dict
+
+
+def table_prior(spec: KernelSpec, grid: DyadicGrid, level: int,
+                jitter: float | None = None) -> TablePrior:
+    """Factor the prior over the level-`level` lattice once, for many seeds."""
     if not 0 <= level <= grid.max_level:
         raise ValueError("level must lie in [0, grid.max_level]")
     if grid.num_points(level) > ENUMERATION_CAP:
@@ -57,19 +65,40 @@ def gp_sample_objective(spec: KernelSpec, grid: DyadicGrid, level: int,
             f"{ENUMERATION_CAP} cap"
         )
     pts = grid.points(level)
-    vals = gp.sample_prior_on_grid(spec, pts, seed, jitter)
-    table = {tuple(p): float(v) for p, v in zip(pts, vals)}
+    post = gp.fit(spec, gp.ObservationSet(pts, np.zeros(len(pts))), jitter)
+    return TablePrior(post, {tuple(p): i for i, p in enumerate(pts)})
+
+
+def gp_sample_objective(spec: KernelSpec, grid: DyadicGrid, level: int,
+                        seed: int, jitter: float | None = None,
+                        prior: TablePrior | None = None) -> Objective:
+    """Tabulate one prior draw over the level-`level` lattice.
+
+    Evaluation at a table point is an exact lookup; any other point gets the
+    posterior-mean interpolant conditioned on the full table. The known
+    maximum is the table argmax. Seeds that share a lattice pass one
+    `table_prior(spec, grid, level, jitter)` as `prior` (and no `jitter`),
+    so each seed costs one draw; without one, the objective builds its own.
+    """
+    if prior is None:
+        prior = table_prior(spec, grid, level, jitter)
+    elif jitter is not None:
+        raise ValueError("give the jitter to table_prior, not with a prior")
+    elif prior.post.spec != spec or len(prior.post) != grid.num_points(level):
+        raise ValueError("the prior was built for another spec or lattice")
+    pts = prior.post.obs.points
+    vals = gp.prior_draw(prior.post, seed)
     state: dict = {}
 
     def interpolant() -> gp.GPPosterior:
         if "post" not in state:
-            state["post"] = gp.fit(spec, gp.ObservationSet(pts, vals), jitter)
+            state["post"] = prior.post.with_values(vals)
         return state["post"]
 
     def evaluate(x: np.ndarray) -> float:
-        hit = table.get(tuple(x))
-        if hit is not None:
-            return hit
+        i = prior.index.get(tuple(x))
+        if i is not None:
+            return float(vals[i])
         mu, _ = interpolant().predict(x)
         return mu
 
@@ -359,8 +388,9 @@ def envelope_experiment(spec: KernelSpec, grid: DyadicGrid, level: int,
     ratios = np.zeros(n_seeds)
     kept_ok = np.zeros(n_seeds, dtype=bool)
     seeds = tuple(range(first_seed, first_seed + n_seeds))
+    prior = table_prior(spec, grid, level, jitter)
     for i, seed in enumerate(seeds):
-        objective = gp_sample_objective(spec, grid, level, seed, jitter)
+        objective = gp_sample_objective(spec, grid, level, seed, prior=prior)
         audit = _EnvelopeAudit(objective, grid)
         config = RunConfig(alpha=alpha, max_evaluations=budget, jitter=jitter,
                            seed=seed)

@@ -13,7 +13,12 @@ from pathlib import Path
 import numpy as np
 
 from . import bench, bnb
-from .errors import InsufficientDataError
+from .errors import (
+    DimensionError,
+    DuplicateObservationError,
+    GridTooLargeError,
+    InsufficientDataError,
+)
 from .kernels import KernelSpec, smoothness_constant
 from .lattice import DyadicGrid
 
@@ -21,6 +26,9 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 EXIT_CHECK_FAILED = 3
+# ValueErrors the library raises mid-run: runtime failures, not usage errors
+_LIBRARY_ERRORS = (GridTooLargeError, DuplicateObservationError,
+                   InsufficientDataError, DimensionError)
 
 DEFAULT_MAX_LEVEL = 10
 STRATEGIES = ("bnb", "ucb", "random")
@@ -122,13 +130,15 @@ class _Settings:
         return DyadicGrid(self.lower, self.upper, 0, self.max_level)
 
 
-def _build_objective(name: str, settings: _Settings, seed: int) -> tuple:
-    """Returns (objective, run_max_level)."""
+def _build_objective(name: str, settings: _Settings, seed: int,
+                     prior: bench.TablePrior | None = None) -> tuple:
+    """Returns (objective, run_max_level); `prior` is shared by gp-sample seeds."""
     grid = settings.grid()
     if name == "gp-sample":
         # keep the run on the tabulated lattice so every sample is a table hit
         table_level = bench.enumeration_level(grid)
-        objective = bench.gp_sample_objective(settings.spec, grid, table_level, seed)
+        objective = bench.gp_sample_objective(settings.spec, grid, table_level,
+                                              seed, prior=prior)
         return objective, table_level
     if name == "quadratic":
         center = settings.lower + 0.5 * (settings.upper - settings.lower)
@@ -228,8 +238,14 @@ def cmd_compare(args) -> int:
             raise ValueError(f"unknown strategy {s!r}; choose from {STRATEGIES}")
     seeds = _parse_seeds(args.seeds)
     settings.out_dir.mkdir(parents=True, exist_ok=True)
+    prior = None
+    if args.objective == "gp-sample":
+        # one factor of the table's prior Gram matrix serves every seed
+        grid = settings.grid()
+        prior = bench.table_prior(settings.spec, grid, bench.enumeration_level(grid))
     # one objective per seed, shared by every strategy
-    built = {seed: _build_objective(args.objective, settings, seed) for seed in seeds}
+    built = {seed: _build_objective(args.objective, settings, seed, prior)
+             for seed in seeds}
     summary_rows = []
     for strategy in strategies:
         finals, cumulatives, amps, rates, r2s = [], [], [], [], []
@@ -384,10 +400,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ValueError as exc:
-        # bad option values surface as usage errors
-        parser.exit(EXIT_USAGE, f"bnbopt: error: {exc}\n")
     except Exception as exc:  # noqa: BLE001 - CLI boundary
+        if isinstance(exc, ValueError) and not isinstance(exc, _LIBRARY_ERRORS):
+            # bad option values surface as usage errors
+            parser.exit(EXIT_USAGE, f"bnbopt: error: {exc}\n")
         print(f"bnbopt: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK

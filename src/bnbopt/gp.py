@@ -125,6 +125,17 @@ class GPPosterior:
         # negative roundoff clamped before the square root
         return mus, np.sqrt(np.clip(var, 0.0, None))
 
+    def with_values(self, values) -> "GPPosterior":
+        """Posterior at the same points given other values, reusing the factor.
+
+        For a posterior from :func:`fit` this is bitwise what ``fit`` returns
+        for the new values: the factor depends only on the points and the
+        starting jitter.
+        """
+        obs = ObservationSet(self.obs.points, values)
+        weights = cho_solve((self.chol, True), obs.values, check_finite=False)
+        return GPPosterior(self.spec, obs, self.jitter, self.chol, weights)
+
     def extend(self, points, values) -> "GPPosterior":
         """Posterior with a block of m extra observations, via a block factor append.
 
@@ -189,13 +200,16 @@ def sample_prior_on_grid(spec: kernels.KernelSpec, grid_points, seed: int,
                          jitter: float | None = None) -> np.ndarray:
     """One zero-mean prior draw at the given points, deterministic per seed."""
     pts = kernels.as_points(spec, grid_points)
-    if jitter is None:
-        jitter = DEFAULT_JITTER_FACTOR * spec.output_scale
-    if pts.shape[0] == 0:
-        return np.zeros(0)
-    if np.unique(pts, axis=0).shape[0] != pts.shape[0]:
-        raise DuplicateObservationError("grid points must be distinct")
-    K = kernels.pairwise(spec, pts, pts)
-    chol, _ = _factor(K, jitter, spec.output_scale, pts)
-    z = np.random.default_rng(seed).standard_normal(pts.shape[0])
-    return chol @ z
+    prior = fit(spec, ObservationSet(pts, np.zeros(pts.shape[0])), jitter)
+    return prior_draw(prior, seed)
+
+
+def prior_draw(prior: GPPosterior, seed: int) -> np.ndarray:
+    """One zero-mean prior draw at ``prior``'s points, deterministic per seed.
+
+    Reads only the factor, so one zero-valued :func:`fit` on a point set
+    serves every seed drawn there. Each draw is one matrix-vector product
+    ``chol @ z``; stacking seeds into a matrix product may round differently.
+    """
+    z = np.random.default_rng(seed).standard_normal(len(prior))
+    return prior.chol @ z

@@ -102,11 +102,19 @@ def pairwise(spec: KernelSpec, points_a, points_b) -> np.ndarray:
     # work in the cdist buffer: a Gram matrix is the largest array a fit holds
     if spec.family == "se":
         sq *= -0.5
-        out = np.exp(sq, out=sq)
+        np.exp(sq, out=sq)
     else:
-        out = _profile(spec.family, sq)
-    out *= spec.output_scale
-    return out
+        # _profile's Matern steps, reordered only where IEEE + and * commute
+        # and -(sqrt5 * r) == (-sqrt5) * r, so the bits are the same
+        a = np.sqrt(sq)
+        a *= _SQRT5
+        sq *= 5.0 / 3.0
+        sq += a + 1.0
+        np.negative(a, out=a)
+        np.exp(a, out=a)
+        sq *= a
+    sq *= spec.output_scale
+    return sq
 
 
 def evaluate(spec: KernelSpec, x, y) -> float:

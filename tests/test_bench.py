@@ -15,13 +15,14 @@ from bnbopt.bench import (
     quadratic_objective,
     random_run,
     regret_series,
+    table_prior,
     variance_bound_experiment,
     RegretSeries,
 )
-from bnbopt import bnb, gp
+from bnbopt import bnb, gp, kernels
 from bnbopt.bnb import RunConfig, RunTrace, beta
 from bnbopt.errors import GridTooLargeError, InsufficientDataError
-from bnbopt.gp import ObservationSet, fit
+from bnbopt.gp import ObservationSet, fit, prior_draw, sample_prior_on_grid
 from bnbopt.kernels import KernelSpec
 from bnbopt.lattice import DyadicGrid
 
@@ -81,6 +82,67 @@ class TestGpSampleObjective:
         grid = unit_grid(dim=2, max_level=10)
         with pytest.raises(GridTooLargeError):
             gp_sample_objective(spec, grid, 10, seed=0)
+
+
+class TestTablePrior:
+    @pytest.mark.parametrize("family", ["se", "matern52"])
+    @pytest.mark.parametrize("dim, level", [(1, 8), (2, 4)])
+    def test_shared_prior_draws_are_sample_prior_on_grid(self, family, dim, level):
+        spec = KernelSpec.isotropic(family, dim, 0.3)
+        grid = unit_grid(dim=dim, max_level=level)
+        pts = grid.points(level)
+        prior = table_prior(spec, grid, level)
+        # reference: a fresh Cholesky of K with the jitter on its diagonal
+        gram = kernels.pairwise(spec, pts, pts)
+        gram[np.diag_indices_from(gram)] += gp.DEFAULT_JITTER_FACTOR
+        chol = np.linalg.cholesky(gram)
+        for seed in range(5):
+            obj = gp_sample_objective(spec, grid, level, seed, prior=prior)
+            vals = sample_prior_on_grid(spec, pts, seed)
+            z = np.random.default_rng(seed).standard_normal(len(pts))
+            assert np.array_equal(vals, chol @ z)
+            assert np.array_equal(np.array([obj(p) for p in pts]), vals)
+            i = int(np.argmax(vals))
+            assert np.array_equal(obj.known_max_point, pts[i])
+            assert obj.known_max_value == vals[i]
+
+    @pytest.mark.parametrize("family", ["se", "matern52"])
+    def test_off_table_interpolant_is_the_fit_bitwise(self, family):
+        spec = KernelSpec.isotropic(family, 1, 0.3)
+        grid = unit_grid(max_level=9)
+        prior = table_prior(spec, grid, 3)
+        obj = gp_sample_objective(spec, grid, 3, seed=0, prior=prior)
+        pts = grid.points(3)
+        vals = prior_draw(prior.post, 0)
+        reference = fit(spec, ObservationSet(pts, vals), None)
+        for x in grid.points(9)[[5, 100, 301]]:  # off the level-3 table
+            assert prior.post.with_values(vals).predict(x) == reference.predict(x)
+            assert obj(x) == reference.predict(x)[0]
+
+    def test_mismatched_prior_rejected(self):
+        spec, grid = spec_se(), unit_grid(max_level=6)
+        prior = table_prior(spec, grid, 5)
+        with pytest.raises(ValueError):
+            gp_sample_objective(spec_se(ls=0.4), grid, 5, 0, prior=prior)
+        with pytest.raises(ValueError):
+            gp_sample_objective(spec, grid, 6, 0, prior=prior)
+        with pytest.raises(ValueError):
+            gp_sample_objective(spec, grid, 5, 0, 1e-8, prior=prior)
+        gp_sample_objective(spec, grid, 5, 0, prior=prior)  # the matching one
+
+    def test_envelope_factors_the_table_gram_once(self, monkeypatch):
+        sizes = []
+        original = gp._factor
+
+        def counting(K, *args, **kwargs):
+            sizes.append(K.shape[0])
+            return original(K, *args, **kwargs)
+
+        monkeypatch.setattr(gp, "_factor", counting)
+        # budget 30 < 65 table points, so no run's own fit reaches table size
+        envelope_experiment(spec_se(), unit_grid(max_level=6), 6, alpha=0.1,
+                            n_seeds=100, budget=30)
+        assert sizes.count(65) == 1
 
 
 class TestQuadraticObjective:

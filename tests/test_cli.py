@@ -5,8 +5,9 @@ import os
 
 import numpy as np
 
-from bnbopt import bench
+from bnbopt import bench, gp
 from bnbopt.cli import main
+from bnbopt.errors import DuplicateObservationError
 
 
 def run_cli(*args: str) -> int:
@@ -127,9 +128,45 @@ class TestCompare:
         assert built == [0, 1, 2]
         assert len(list(out.glob("*_trace.csv"))) == 6
 
+    def test_table_gram_factored_once(self, tmp_path, monkeypatch):
+        sizes = []
+        original = gp._factor
+
+        def counting(K, *args, **kwargs):
+            sizes.append(K.shape[0])
+            return original(K, *args, **kwargs)
+
+        monkeypatch.setattr(gp, "_factor", counting)
+        # a 65-point table and budget 30, so no run's own fit reaches its size
+        code = run_cli("compare", "--objective", "gp-sample", "--strategies",
+                       "bnb,ucb", "--seeds", "0..2", "--budget", "30",
+                       "--max-level", "6", "--out", str(tmp_path / "c"))
+        assert code == 0
+        assert sizes.count(65) == 1
+
     def test_unknown_strategy_is_usage_error(self, tmp_path):
         assert run_cli("compare", "--strategies", "sgd",
                        "--out", str(tmp_path)) == 2
+
+
+class TestExitCodes:
+    def test_oversized_lattice_is_runtime_failure(self, tmp_path, capsys):
+        # 2^16 level-0 points exceed the enumeration cap: not a usage error
+        code = run_cli("run", "--objective", "gp-sample", "--dim", "16",
+                       "--max-level", "1", "--out", str(tmp_path))
+        assert code == 1
+        assert "GridTooLargeError" in capsys.readouterr().err
+
+    def test_mid_run_duplicate_is_runtime_failure(self, tmp_path, monkeypatch,
+                                                  capsys):
+        def duplicate(self, points, values):
+            raise DuplicateObservationError("point already observed")
+
+        monkeypatch.setattr(gp.GPPosterior, "extend", duplicate)
+        code = run_cli("run", "--objective", "quadratic", "--budget", "20",
+                       "--out", str(tmp_path))
+        assert code == 1
+        assert "DuplicateObservationError" in capsys.readouterr().err
 
 
 class TestVerify:

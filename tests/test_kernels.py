@@ -4,9 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from bnbopt.errors import DimensionError
-from bnbopt.kernels import KernelSpec, evaluate, pairwise, smoothness_constant
+from bnbopt.kernels import (
+    FAMILIES,
+    KernelSpec,
+    _profile,
+    evaluate,
+    pairwise,
+    smoothness_constant,
+)
 
 EXP_MINUS_ONE = 0.36787944117144233  # high-precision e^-1, 50-digit arithmetic
 # fourth derivatives at zero of the unit profiles t -> k(t^2), 4! times the
@@ -206,3 +214,18 @@ def test_pairwise_shape_and_consistency():
 def test_cross_dimension_mismatch():
     with pytest.raises(DimensionError):
         pairwise(spec_se(), np.zeros((2, 2)), [[0.5]])
+
+
+def test_pairwise_is_the_profile_bitwise():
+    # pairwise works in the cdist buffer; it must give _profile's bits
+    rng = np.random.default_rng(5)
+    for family in FAMILIES:
+        for dim in (1, 2, 3):
+            spec = KernelSpec(family, 1.7, tuple(rng.uniform(0.1, 2.0, dim)), dim)
+            a = rng.uniform(-1.0, 2.0, size=(13, dim))
+            b = rng.uniform(-1.0, 2.0, size=(7, dim))
+            ls = np.asarray(spec.lengthscales)
+            for x, y in ((a, b), (a, a)):
+                sq = cdist(x / ls, y / ls, "sqeuclidean")
+                expected = _profile(family, sq) * spec.output_scale
+                assert np.array_equal(pairwise(spec, x, y), expected), (family, dim)
