@@ -70,21 +70,19 @@ def table_prior(spec: KernelSpec, grid: DyadicGrid, level: int,
 
 
 def gp_sample_objective(spec: KernelSpec, grid: DyadicGrid, level: int,
-                        seed: int, jitter: float | None = None,
-                        prior: TablePrior | None = None) -> Objective:
+                        seed: int, prior: TablePrior | None = None) -> Objective:
     """Tabulate one prior draw over the level-`level` lattice.
 
     Evaluation at a table point is an exact lookup; any other point gets the
     posterior-mean interpolant conditioned on the full table. The known
     maximum is the table argmax. Seeds that share a lattice pass one
-    `table_prior(spec, grid, level, jitter)` as `prior` (and no `jitter`),
-    so each seed costs one draw; without one, the objective builds its own.
+    `table_prior(spec, grid, level)` as `prior`, so each seed costs one
+    draw; without one, the objective builds its own at the default jitter.
     """
     if prior is None:
-        prior = table_prior(spec, grid, level, jitter)
-    elif jitter is not None:
-        raise ValueError("give the jitter to table_prior, not with a prior")
-    elif prior.post.spec != spec or len(prior.post) != grid.num_points(level):
+        prior = table_prior(spec, grid, level)
+    elif (prior.post.spec != spec or len(prior.post) != grid.num_points(level)
+          or not np.array_equal(prior.post.obs.points, grid.points(level))):
         raise ValueError("the prior was built for another spec or lattice")
     pts = prior.post.obs.points
     vals = gp.prior_draw(prior.post, seed)

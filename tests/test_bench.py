@@ -126,8 +126,9 @@ class TestTablePrior:
             gp_sample_objective(spec_se(ls=0.4), grid, 5, 0, prior=prior)
         with pytest.raises(ValueError):
             gp_sample_objective(spec, grid, 6, 0, prior=prior)
-        with pytest.raises(ValueError):
-            gp_sample_objective(spec, grid, 5, 0, 1e-8, prior=prior)
+        wider = DyadicGrid(np.array([0.0]), np.array([2.0]), 6)
+        with pytest.raises(ValueError):  # same level and spec, another box
+            gp_sample_objective(spec, wider, 5, 0, prior=prior)
         gp_sample_objective(spec, grid, 5, 0, prior=prior)  # the matching one
 
     def test_envelope_factors_the_table_gram_once(self, monkeypatch):
