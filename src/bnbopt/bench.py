@@ -164,40 +164,61 @@ def plain_ucb_run(objective, spec: KernelSpec, grid: DyadicGrid,
     Stops when the budget is spent or the lattice is exhausted.
 
     The posterior over the fixed lattice is carried across steps instead of
-    re-predicted: rows of K(X, pts) and V = L^-1 K(X, pts) are appended one
-    per evaluation, and the variances fall by the new row of V squared, so a
-    step costs O(n m) instead of O(n^2 m). When `extend` refits, the
-    leading block of the factor changes and V is recomputed from it.
+    re-predicted. Each evaluation appends one row to the factor L (through
+    the Schur step that `GPPosterior.extend` uses), to K(X, pts), to
+    V = L^-1 K(X, pts) and to a = L^-1 y. The mean V^T a gains a_n V[n] and
+    the variances fall by V[n] squared, so a step costs O(n m) instead of
+    O(n^2 m). When the Schur complement is not positive definite, the points
+    are refit with jitter escalation and L, V, a and the posterior are
+    recomputed from the new factor.
     """
     level = enumeration_level(grid)
     pts = grid.points(level)
     lattice_size = grid.num_points(grid.max_level)
-    post = gp.fit(spec, gp.ObservationSet.empty(grid.dim), config.jitter)
+    # the empty fit validates the starting jitter
+    jitter = gp.fit(spec, gp.ObservationSet.empty(grid.dim), config.jitter).jitter
     steps = min(config.max_evaluations, len(pts))
+    chol = np.zeros((steps, steps))
     kx = np.zeros((steps, len(pts)))
     v = np.zeros((steps, len(pts)))
+    a = np.zeros(steps)
+    picks = np.zeros(steps, dtype=int)
+    values = np.zeros(steps)
+    mus = np.zeros(len(pts))
     var = np.full(len(pts), spec.output_scale)
     available = np.ones(len(pts), dtype=bool)
     for n in range(steps):
         root = math.sqrt(max(beta(n + 1, lattice_size, config.alpha), 0.0))
-        mus = kx[:n].T @ post.weights
         score = np.where(available, mus + root * np.sqrt(np.clip(var, 0.0, None)),
                          -np.inf)
         pick = int(np.argmax(score))
         x = pts[pick]
-        prev = post.chol
-        post = post.extend(x[None, :], [float(objective(x))])
+        gp._check_new(pts[picks[:n]], x[None, :])
+        values[n] = float(objective(x))
+        picks[n] = pick
         available[pick] = False
         kx[n] = kernels.pairwise(spec, x[None, :], pts)[0]
-        chol = post.chol
-        if np.array_equal(chol[:n, :n], prev):
+        c, corner = gp._schur_step(chol[:n, :n], kx[:n, pick:pick + 1],
+                                   kx[n:n + 1, pick:pick + 1], jitter)
+        if corner is not None:
+            chol[n, :n] = c[:, 0]
+            chol[n, n] = corner[0, 0]
             v[n] = (kx[n] - chol[n, :n] @ v[:n]) / chol[n, n]
+            a[n] = (values[n] - chol[n, :n] @ a[:n]) / chol[n, n]
+            mus += a[n] * v[n]
             var -= v[n] ** 2
-        else:  # refit: the factor changed, so V is stale
-            v[: n + 1] = solve_triangular(chol, kx[: n + 1], lower=True,
+        else:  # refit with escalation; the factor and all it carries change
+            post = gp.fit(spec, gp.ObservationSet(pts[picks[: n + 1]],
+                                                  values[: n + 1]), jitter)
+            jitter = post.jitter
+            chol[: n + 1, : n + 1] = post.chol
+            v[: n + 1] = solve_triangular(post.chol, kx[: n + 1], lower=True,
                                           check_finite=False)
+            a[: n + 1] = solve_triangular(post.chol, values[: n + 1], lower=True,
+                                          check_finite=False)
+            mus = v[: n + 1].T @ a[: n + 1]
             var = spec.output_scale - np.einsum("ij,ij->j", v[: n + 1], v[: n + 1])
-    return RunTrace(post.obs.points, post.obs.values, [], truncated=False)
+    return RunTrace(pts[picks], values, [], truncated=False)
 
 
 def random_run(objective, grid: DyadicGrid, config: RunConfig) -> RunTrace:

@@ -233,6 +233,10 @@ def cmd_run(args) -> int:
 def cmd_compare(args) -> int:
     settings = _Settings(args)
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
+    if not strategies:
+        raise ValueError(f"no strategy given; choose from {STRATEGIES}")
+    if len(set(strategies)) != len(strategies):
+        raise ValueError(f"strategy listed twice in {args.strategies!r}")
     for s in strategies:
         if s not in STRATEGIES:
             raise ValueError(f"unknown strategy {s!r}; choose from {STRATEGIES}")

@@ -149,23 +149,12 @@ class GPPosterior:
         """
         block = kernels.as_points(self.spec, points)
         n, m = len(self), block.shape[0]
-        gap = math.inf
-        if n and m:
-            gap = float(cdist(self.obs.points, block).min())
-        if m > 1:
-            gap = min(gap, float(pdist(block).min()))
-        if gap < DUPLICATE_TOL:
-            raise DuplicateObservationError(
-                f"point already observed or repeated in the block (distance {gap:g})"
-            )
+        _check_new(self.obs.points, block)
         new_obs = self.obs._append(block, values)
         k = kernels.pairwise(self.spec, self.obs.points, block)
-        c = solve_triangular(self.chol, k, lower=True, check_finite=False)
         kbb = kernels.pairwise(self.spec, block, block)
-        schur = kbb + self.jitter * np.eye(m) - c.T @ c
-        try:
-            corner = np.linalg.cholesky(schur)
-        except np.linalg.LinAlgError:
+        c, corner = _schur_step(self.chol, k, kbb, self.jitter)
+        if corner is None:
             return fit(self.spec, new_obs, self.jitter)
         chol = np.zeros((n + m, n + m))
         chol[:n, :n] = self.chol
@@ -173,6 +162,37 @@ class GPPosterior:
         chol[n:, n:] = corner
         weights = cho_solve((chol, True), new_obs.values, check_finite=False)
         return GPPosterior(self.spec, new_obs, self.jitter, chol, weights)
+
+
+def _check_new(observed: np.ndarray, block: np.ndarray) -> None:
+    """Reject a block with a point within ``DUPLICATE_TOL`` of an observed
+    point or of another point of the block."""
+    gap = math.inf
+    if len(observed) and len(block):
+        gap = float(cdist(observed, block).min())
+    if len(block) > 1:
+        gap = min(gap, float(pdist(block).min()))
+    if gap < DUPLICATE_TOL:
+        raise DuplicateObservationError(
+            f"point already observed or repeated in the block (distance {gap:g})"
+        )
+
+
+def _schur_step(chol: np.ndarray, k: np.ndarray, kbb: np.ndarray,
+                jitter: float):
+    """The rows a block of m points appends to the lower factor ``chol``.
+
+    With k = K(X, B) of shape (n, m) and kbb = K(B, B), returns C = L^-1 k
+    and the factor of the Schur complement kbb + jitter*I - C^T C, or None in
+    its place when that complement is not positive definite. The new factor
+    is [[L, 0], [C^T, corner]].
+    """
+    c = solve_triangular(chol, k, lower=True, check_finite=False)
+    schur = kbb + jitter * np.eye(kbb.shape[0]) - c.T @ c
+    try:
+        return c, np.linalg.cholesky(schur)
+    except np.linalg.LinAlgError:
+        return c, None
 
 
 def fit(spec: kernels.KernelSpec, obs: ObservationSet,

@@ -242,7 +242,38 @@ def reference_ucb_run(objective, spec, grid, config):
     return np.asarray(points), np.asarray(values)
 
 
+def counting_fits(monkeypatch):
+    """Patch gp.fit to record the size of every set it fits; returns the list."""
+    sizes = []
+    original_fit = gp.fit
+
+    def counted(spec, obs, jitter=None):
+        sizes.append(len(obs))
+        return original_fit(spec, obs, jitter)
+
+    monkeypatch.setattr(gp, "fit", counted)
+    return sizes
+
+
 class TestUcbMatchesReference:
+    @staticmethod
+    def assert_matches_reference(monkeypatch, spec, grid, table, budget, seeds,
+                                 jitter):
+        for seed in seeds:
+            obj = gp_sample_objective(spec, grid, table, seed)
+            config = RunConfig(alpha=0.1, max_evaluations=budget, jitter=jitter,
+                               seed=seed)
+            with monkeypatch.context() as patch:
+                sizes = counting_fits(patch)
+                trace = plain_ucb_run(obj, spec, grid, config)
+            # the baseline's own refits: every fit after the empty one
+            assert sizes[0] == 0
+            refits = sizes[1:]
+            assert bool(refits) == (jitter == 0.0)
+            points, values = reference_ucb_run(obj, spec, grid, config)
+            assert trace.points.tobytes() == points.tobytes()
+            assert trace.values.tobytes() == values.tobytes()
+
     # (family, dim, lengthscale, lattice level, table level, budget, seeds, jitter);
     # the 2-D draw is tabulated a level coarser (1089 points, not 4225) and
     # interpolated in between, which keeps its Cholesky small
@@ -250,32 +281,41 @@ class TestUcbMatchesReference:
         ("se", 1, 0.3, 10, 10, 200, range(5), None),
         ("matern52", 1, 0.2, 10, 10, 200, range(5), None),
         ("se", 2, 0.4, 6, 5, 150, range(3), None),
-        # zero jitter makes extend refit, so V is recomputed mid-run
+        # zero jitter makes the Schur complement fail, so the baseline refits
         ("se", 1, 0.3, 8, 8, 60, range(6), 0.0),
     ])
     def test_bitwise_equal_traces(self, monkeypatch, family, dim, ls, level,
                                   table, budget, seeds, jitter):
         spec = KernelSpec.isotropic(family, dim, ls)
         grid = unit_grid(dim, max_level=level)
-        refits = []
+        self.assert_matches_reference(monkeypatch, spec, grid, table, budget,
+                                      seeds, jitter)
+
+    def test_bitwise_equal_traces_anisotropic_box(self, monkeypatch):
+        spec = KernelSpec("se", 1.0, (0.3, 0.6), 2)
+        grid = DyadicGrid(np.array([-1.0, 0.0]), np.array([1.0, 2.0]), 0, 6)
+        self.assert_matches_reference(monkeypatch, spec, grid, 5, 150, range(2),
+                                      None)
+
+    def test_no_extend_and_no_refit_at_default_jitter(self, monkeypatch):
+        # the baseline appends its own factor rows: a per-step extend or refit
+        # would show here
+        spec, grid = spec_se(), unit_grid(max_level=10)
+        obj = gp_sample_objective(spec, grid, 10, seed=0)
+        extends = []
         original_extend = gp.GPPosterior.extend
 
-        def watched_extend(post, points, values):
-            out = original_extend(post, points, values)
-            n = len(post)
-            refits.append(not np.array_equal(out.chol[:n, :n], post.chol))
-            return out
+        def counted_extend(post, points, values):
+            extends.append(len(post))
+            return original_extend(post, points, values)
 
-        monkeypatch.setattr(gp.GPPosterior, "extend", watched_extend)
-        for seed in seeds:
-            obj = gp_sample_objective(spec, grid, table, seed)
-            config = RunConfig(alpha=0.1, max_evaluations=budget, jitter=jitter,
-                               seed=seed)
-            trace = plain_ucb_run(obj, spec, grid, config)
-            points, values = reference_ucb_run(obj, spec, grid, config)
-            assert trace.points.tobytes() == points.tobytes()
-            assert trace.values.tobytes() == values.tobytes()
-        assert any(refits) == (jitter == 0.0)
+        monkeypatch.setattr(gp.GPPosterior, "extend", counted_extend)
+        sizes = counting_fits(monkeypatch)
+        trace = plain_ucb_run(obj, spec, grid,
+                              RunConfig(alpha=0.1, max_evaluations=200))
+        assert len(trace) == 200
+        assert extends == []
+        assert sizes == [0]
 
 
 class TestRandomRun:

@@ -4,6 +4,7 @@ import csv
 import os
 
 import numpy as np
+import pytest
 
 from bnbopt import bench, gp
 from bnbopt.cli import main
@@ -147,6 +148,22 @@ class TestCompare:
     def test_unknown_strategy_is_usage_error(self, tmp_path):
         assert run_cli("compare", "--strategies", "sgd",
                        "--out", str(tmp_path)) == 2
+
+    @pytest.mark.parametrize("strategies", [",", "", "bnb,bnb", "ucb, bnb,ucb"])
+    def test_empty_or_repeated_strategies_are_usage_errors(
+            self, tmp_path, monkeypatch, capsys, strategies):
+        # rejected before the table prior or any objective is built
+        def refuse(*args, **kwargs):
+            raise AssertionError("objective built")
+
+        monkeypatch.setattr(bench, "table_prior", refuse)
+        monkeypatch.setattr(bench, "gp_sample_objective", refuse)
+        out = tmp_path / "none"
+        code = run_cli("compare", "--objective", "gp-sample", "--strategies",
+                       strategies, "--seeds", "0..1", "--out", str(out))
+        assert code == 2
+        assert "strategy" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestExitCodes:
