@@ -12,7 +12,7 @@ from scipy.spatial.distance import cdist
 from . import gp
 from .errors import DimensionError, ResolutionExhausted
 from .kernels import KernelSpec
-from .lattice import DyadicGrid, RegionBall
+from .lattice import DyadicGrid, RegionBall, point_keys
 
 
 @dataclass(frozen=True)
@@ -158,8 +158,8 @@ def densify(post: gp.GPPosterior, region: RegionBall, grid: DyadicGrid,
     an unseen cover point left. Idempotent at a fixed level and region.
     """
     cover = grid.cover_points(region)
-    seen = {tuple(p) for p in post.obs.points}
-    block = cover[np.array([tuple(p) not in seen for p in cover], dtype=bool)]
+    seen = set(point_keys(post.obs.points))
+    block = cover[np.array([key not in seen for key in point_keys(cover)], dtype=bool)]
     truncated = max_new is not None and block.shape[0] > max_new
     if truncated:
         block = block[:max_new]
@@ -267,10 +267,10 @@ def run(objective, spec: KernelSpec, grid: DyadicGrid, config: RunConfig,
         if region.radius == 0.0:
             # the ball pinpoints a single lattice point: sample it before
             # stopping so the conclusion is actually observed
-            key = tuple(region.center)
+            key = tuple(region.center.tolist())
             if (
                 len(post) < config.max_evaluations
-                and key not in {tuple(p) for p in post.obs.points}
+                and key not in set(point_keys(post.obs.points))
             ):
                 fx = float(objective(region.center))
                 post = post.extend(region.center[None, :], [fx])

@@ -151,9 +151,10 @@ class GPPosterior:
         n, m = len(self), block.shape[0]
         _check_new(self.obs.points, block)
         new_obs = self.obs._append(block, values)
-        k = kernels.pairwise(self.spec, self.obs.points, block)
-        kbb = kernels.pairwise(self.spec, block, block)
-        c, corner = _schur_step(self.chol, k, kbb, self.jitter)
+        # K(X, B) over K(B, B): every entry is computed on its own, so one
+        # kernel block gives the bits of two
+        kb = kernels.pairwise(self.spec, new_obs.points, block)
+        c, corner = _schur_step(self.chol, kb[:n], kb[n:], self.jitter)
         if corner is None:
             return fit(self.spec, new_obs, self.jitter)
         chol = np.zeros((n + m, n + m))

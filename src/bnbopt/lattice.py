@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -11,6 +11,16 @@ from .errors import DimensionError, GridTooLargeError, ResolutionExhausted
 
 DEFAULT_MAX_LEVEL = 24
 _ENUM_CAP = 2_000_000
+
+
+def point_keys(points: np.ndarray):
+    """The rows of an (n, dim) array as tuples of floats, one per point.
+
+    Lattice points are named by these tuples: dyadic lattices nest bitwise,
+    so equal tuples are the same point at any level. Built from the columns,
+    with no list per row.
+    """
+    return zip(*points.T.tolist())
 
 
 @dataclass(frozen=True)
@@ -24,8 +34,8 @@ class RegionBall:
         c = np.asarray(self.center, dtype=float)
         if c.ndim != 1:
             raise ValueError("center must be a 1-d point")
-        if not self.radius >= 0.0:
-            raise ValueError("radius must be nonnegative")
+        if not 0.0 <= self.radius < math.inf:
+            raise ValueError("radius must be finite and nonnegative")
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "radius", float(self.radius))
 
@@ -50,6 +60,9 @@ class DyadicGrid:
     upper: np.ndarray
     level: int = 0
     max_level: int = DEFAULT_MAX_LEVEL
+    # upper - lower and its norm, fixed by the box; every level divides them
+    _span: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _diag: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lo = np.asarray(self.lower, dtype=float)
@@ -64,15 +77,14 @@ class DyadicGrid:
             raise ValueError("level must lie in [0, max_level]")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", up)
+        span = up - lo
+        object.__setattr__(self, "_span", tuple(span.tolist()))
+        # np.linalg.norm of a real vector is sqrt(x.dot(x)), without its overhead
+        object.__setattr__(self, "_diag", math.sqrt(span.dot(span)))
 
     @property
     def dim(self) -> int:
         return self.lower.shape[0]
-
-    def spacing(self, level: int | None = None) -> np.ndarray:
-        """Per-axis cell edge length at the given (default current) level."""
-        lev = self.level if level is None else level
-        return (self.upper - self.lower) / float(2**lev)
 
     def delta(self, level: int | None = None) -> float:
         """Cell diagonal at the given (default current) level.
@@ -80,7 +92,7 @@ class DyadicGrid:
         Exactly halves for each level increment (division by a power of two).
         """
         lev = self.level if level is None else level
-        return float(np.linalg.norm(self.upper - self.lower)) / float(2**lev)
+        return self._diag / float(2**lev)
 
     def num_points(self, level: int | None = None) -> int:
         lev = self.level if level is None else level
@@ -91,9 +103,7 @@ class DyadicGrid:
         lev = self.level if level is None else level
         if not 0 <= lev <= self.max_level:
             raise ValueError("level must lie in [0, max_level]")
-        return self._enumerate(
-            lev, np.zeros(self.dim, dtype=int), np.full(self.dim, 2**lev)
-        )
+        return self._enumerate(lev, [0] * self.dim, [2**lev] * self.dim)
 
     def refine(self) -> "DyadicGrid":
         """One level finer; the coarse points are a subset of the fine points."""
@@ -103,46 +113,60 @@ class DyadicGrid:
             )
         return replace(self, level=self.level + 1)
 
-    def _enumerate(self, level: int, k_lo: np.ndarray, k_hi: np.ndarray) -> np.ndarray:
+    def _enumerate(self, level: int, k_lo: list[int], k_hi: list[int]) -> np.ndarray:
         """Level points with per-axis indices in [k_lo, k_hi], lexicographically.
 
-        The point of index k is ``lower + k * spacing``, so the same index
-        gives the same float whichever window enumerates it.
+        The point of index k is ``lower + k * ((upper - lower) / 2^level)``,
+        so the same index gives the same float whichever window enumerates it.
         """
-        size = math.prod(int(n) for n in k_hi - k_lo + 1)
+        counts = [hi - lo + 1 for lo, hi in zip(k_lo, k_hi)]
+        size = math.prod(counts)
         if size > _ENUM_CAP:
             raise GridTooLargeError(
                 f"{size} lattice points exceed the {_ENUM_CAP} enumeration cap"
             )
-        h = self.spacing(level)
-        axes = [
-            self.lower[i] + np.arange(k_lo[i], k_hi[i] + 1) * h[i]
-            for i in range(self.dim)
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
+        out = np.empty((size, self.dim))
+        cells = out.reshape(*counts, self.dim)  # a view: cells[k] is one point
+        scale = float(2**level)
+        for i, (lo, span) in enumerate(zip(self.lower.tolist(), self._span)):
+            shape = [1] * self.dim
+            shape[i] = counts[i]
+            axis = lo + np.arange(k_lo[i], k_hi[i] + 1) * (span / scale)
+            cells[..., i] = axis.reshape(shape)
+        return out
 
     def _window(self, region: RegionBall, level: int):
         """Per-axis index window (k_lo, k_hi) holding the level's cover of the region.
 
         The window is a superset, padded by one cell, of the points within
         ``radius + delta(level)`` of the centre. None when the region misses
-        the box.
+        the box. Works on Python floats, axis by axis; a centre outside the
+        box has its distance to the box summed by numpy, whose summation order
+        sets the last bit from 8 axes on.
         """
         c = region.center
         if c.shape != (self.dim,):
             raise DimensionError(
                 f"region center has shape {c.shape}, expected ({self.dim},)"
             )
-        outside = np.maximum(self.lower - c, 0.0) + np.maximum(c - self.upper, 0.0)
-        if float(np.sqrt((outside**2).sum())) > region.radius:
+        center = c.tolist()
+        lower = self.lower.tolist()
+        outside = [max(lo - x, 0.0) + max(x - up, 0.0)
+                   for lo, x, up in zip(lower, center, self.upper.tolist())]
+        if any(outside) and float(np.sqrt(np.square(outside).sum())) > region.radius:
             return None
-        reach = region.radius + self.delta(level)
-        h = self.spacing(level)
-        k_lo = np.maximum(np.floor((c - reach - self.lower) / h).astype(int) - 1, 0)
-        k_hi = np.minimum(np.ceil((c + reach - self.lower) / h).astype(int) + 1, 2**level)
-        if np.any(k_lo > k_hi):
-            return None
+        top = 2**level
+        scale = float(top)
+        reach = region.radius + self._diag / scale
+        k_lo, k_hi = [], []
+        for x, lo, span in zip(center, lower, self._span):
+            h = span / scale
+            a = max(math.floor((x - reach - lo) / h) - 1, 0)
+            b = min(math.ceil((x + reach - lo) / h) + 1, top)
+            if a > b:
+                return None
+            k_lo.append(a)
+            k_hi.append(b)
         return k_lo, k_hi
 
     def cover_window_size(self, region: RegionBall, level: int | None = None) -> int:
@@ -151,7 +175,7 @@ class DyadicGrid:
         if window is None:
             return 0
         k_lo, k_hi = window
-        return math.prod(int(n) for n in k_hi - k_lo + 1)
+        return math.prod(hi - lo + 1 for lo, hi in zip(k_lo, k_hi))
 
     def cover_points(self, region: RegionBall) -> np.ndarray:
         """Current-level lattice points within the region dilated by one cell diagonal.

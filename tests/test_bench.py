@@ -19,7 +19,7 @@ from bnbopt.bench import (
     variance_bound_experiment,
     RegretSeries,
 )
-from bnbopt import bnb, gp, kernels
+from bnbopt import bench, bnb, gp, kernels
 from bnbopt.bnb import RunConfig, RunTrace, beta
 from bnbopt.errors import GridTooLargeError, InsufficientDataError
 from bnbopt.gp import ObservationSet, fit, prior_draw, sample_prior_on_grid
@@ -82,6 +82,41 @@ class TestGpSampleObjective:
         grid = unit_grid(dim=2, max_level=10)
         with pytest.raises(GridTooLargeError):
             gp_sample_objective(spec, grid, 10, seed=0)
+
+
+class TestValuesAt:
+    @staticmethod
+    def assert_matches_calls(obj, pts):
+        want = np.array([obj(p) for p in pts], dtype=float)
+        got = obj.values_at(pts)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dim, fine", [(1, 6), (2, 4)])
+    def test_gp_sample_gather_is_the_calls_bitwise(self, dim, fine):
+        spec, grid = spec_se(dim=dim), unit_grid(dim=dim, max_level=fine)
+        rng = np.random.default_rng(dim)
+        pts = grid.points(fine)[rng.permutation(grid.num_points(fine))]
+        on_table = gp_sample_objective(spec, grid, fine, seed=4)
+        assert on_table.batch is not None
+        self.assert_matches_calls(on_table, pts)
+        # a level-3 table queried at the fine level: off the table and mixed
+        coarse = gp_sample_objective(spec, grid, 3, seed=4)
+        table = set(map(tuple, grid.points(3).tolist()))
+        off = pts[[tuple(p) not in table for p in pts.tolist()]]
+        assert 0 < len(off) < len(pts)
+        self.assert_matches_calls(coarse, off)
+        self.assert_matches_calls(coarse, pts)
+        self.assert_matches_calls(coarse, np.zeros((0, dim)))
+
+    def test_objectives_without_a_batch_map_their_calls(self):
+        rng = np.random.default_rng(8)
+        pts = rng.uniform(0.0, 1.0, size=(40, 3))
+        for obj in (quadratic_objective([0.3, 0.5, 0.6], 4.0, 1.0,
+                                        np.zeros(3), np.ones(3)),
+                    boundary_max_objective(np.zeros(3), np.ones(3))):
+            assert obj.batch is None
+            self.assert_matches_calls(obj, pts)
 
 
 class TestTablePrior:
@@ -484,6 +519,80 @@ class TestEnvelopeExperiment:
                             n_seeds=100, budget=30)
         assert calls["shrink"] > 0
         assert calls["predict_batch"] == calls["shrink"]
+
+    def test_audit_matches_a_per_point_reference_bitwise(self, report,
+                                                         monkeypatch):
+        monkeypatch.setattr(bench._EnvelopeAudit, "__call__", reference_audit)
+        want = envelope_experiment(spec_se(), unit_grid(max_level=8), 8,
+                                   alpha=0.1, n_seeds=100, budget=200)
+        assert report.max_ratios.tobytes() == want.max_ratios.tobytes()
+        assert report.retained.tobytes() == want.retained.tobytes()
+
+    def test_audit_makes_no_objective_calls(self, monkeypatch):
+        counts = {"audits": 0, "calls_in_audit": 0}
+        in_audit = []
+        call, audit = bench.Objective.__call__, bench._EnvelopeAudit.__call__
+
+        def counted_call(obj, x):
+            counts["calls_in_audit"] += bool(in_audit)
+            return call(obj, x)
+
+        def flagged_audit(observer, event):
+            counts["audits"] += 1
+            in_audit.append(True)
+            try:
+                return audit(observer, event)
+            finally:
+                in_audit.pop()
+
+        monkeypatch.setattr(bench.Objective, "__call__", counted_call)
+        monkeypatch.setattr(bench._EnvelopeAudit, "__call__", flagged_audit)
+        envelope_experiment(spec_se(), unit_grid(max_level=6), 6, alpha=0.1,
+                            n_seeds=100, budget=30)
+        assert counts["audits"] > 0
+        assert counts["calls_in_audit"] == 0
+
+    def test_runs_and_audit_stay_on_the_table(self, monkeypatch):
+        # a grid finer than the table must not take the runs off it, where
+        # the objective is the table's interpolant rather than a prior draw
+        table = set(map(tuple, unit_grid(max_level=6).points(6).tolist()))
+        audited = []
+        audit = bench._EnvelopeAudit.__call__
+
+        def recording(observer, event):
+            audited.append(event.candidates)
+            return audit(observer, event)
+
+        coarse = envelope_experiment(spec_se(), unit_grid(max_level=6), 6,
+                                     alpha=0.1, n_seeds=100, budget=60)
+        monkeypatch.setattr(bench._EnvelopeAudit, "__call__", recording)
+        fine = envelope_experiment(spec_se(), unit_grid(max_level=8), 6,
+                                   alpha=0.1, n_seeds=100, budget=60)
+        assert fine.max_ratios.tobytes() == coarse.max_ratios.tobytes()
+        assert fine.retained.tobytes() == coarse.retained.tobytes()
+        assert audited
+        for cands in audited:
+            assert set(map(tuple, cands.tolist())) <= table
+
+
+def reference_audit(self, event):
+    """The envelope audit as it was with one objective call per candidate."""
+    record = event.record
+    f = np.array([self.objective(c) for c in event.candidates])
+    resid = np.abs(f - event.mus)
+    env = math.sqrt(max(record.beta_T, 0.0)) * event.sigmas
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(
+            env > 0.0,
+            resid / env,
+            np.where(resid <= self._INTERP_TOL, 0.0, np.inf),
+        )
+    self.max_ratio = max(self.max_ratio, float(ratio.max()))
+    xstar = self.objective.known_max_point
+    if xstar is not None and not record.region_after.contains(
+        xstar, self.grid.lower, self.grid.upper
+    ):
+        self.retained = False
 
 
 class TestBoundaryRunSmoke:

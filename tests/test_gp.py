@@ -4,9 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 
 from bnbopt.errors import DuplicateObservationError, IllConditionedError
-from bnbopt.gp import ObservationSet, _factor, fit, sample_prior_on_grid
+from bnbopt.gp import (
+    ObservationSet,
+    _factor,
+    _schur_step,
+    fit,
+    sample_prior_on_grid,
+)
 from bnbopt.kernels import KernelSpec, evaluate, pairwise
 
 
@@ -306,6 +313,34 @@ class TestExtend:
         for a, b in zip(extended.predict_batch(probes),
                         refit.predict_batch(probes)):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("family", ["se", "matern52"])
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_one_kernel_block_matches_two_calls_bitwise(self, family, dim):
+        # extend takes K(X, B) and K(B, B) as the row blocks of one
+        # K([X; B], B); the reference builds them with two calls
+        rng = np.random.default_rng(70 + dim)
+        spec = KernelSpec(family, 1.3, tuple(rng.uniform(0.2, 0.8, dim)), dim)
+        pts = _separated_points(rng, 24, dim, 0.02 if dim == 1 else 0.2)
+        vals = rng.normal(size=len(pts))
+        post = fit(spec, ObservationSet.empty(dim))
+        start = 0
+        for m in (3, 1, 5, 2, 6, 1, 4):
+            block, bvals = pts[start:start + m], vals[start:start + m]
+            start += m
+            k = pairwise(spec, post.obs.points, block)
+            kbb = pairwise(spec, block, block)
+            c, corner = _schur_step(post.chol, k, kbb, post.jitter)
+            assert corner is not None
+            n = len(post)
+            chol = np.zeros((n + m, n + m))
+            chol[:n, :n] = post.chol
+            chol[n:, :n] = c.T
+            chol[n:, n:] = corner
+            weights = cho_solve((chol, True), vals[:start], check_finite=False)
+            post = post.extend(block, bvals)
+            assert np.array_equal(post.chol, chol)
+            assert np.array_equal(post.weights, weights)
 
     def test_monotone_variance_reduction(self):
         rng = np.random.default_rng(14)

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bnbopt.errors import ResolutionExhausted
-from bnbopt.lattice import DyadicGrid, RegionBall
+from bnbopt.lattice import DyadicGrid, RegionBall, point_keys
 
 
 def grid_1d(level=0, max_level=10):
@@ -34,6 +36,11 @@ class TestConstruction:
     def test_region_radius_nonnegative(self):
         with pytest.raises(ValueError):
             RegionBall(np.array([0.5]), -0.1)
+
+    def test_region_radius_finite(self):
+        # an infinite ball's cover has no index window
+        with pytest.raises(ValueError):
+            RegionBall(np.array([0.5]), math.inf)
 
 
 class TestDelta:
@@ -186,6 +193,14 @@ class TestDivisibility:
                 assert tuple(doubled) in pts
 
 
+@pytest.mark.parametrize("shape", [(0, 1), (1, 1), (7, 1), (0, 3), (5, 3)])
+def test_point_keys_are_the_row_tuples(shape):
+    pts = np.random.default_rng(3).uniform(-1.0, 1.0, size=shape)
+    keys = list(point_keys(pts))
+    assert keys == [tuple(p) for p in pts]
+    assert all(type(v) is float for key in keys for v in key)
+
+
 class TestRegionBall:
     def test_membership_includes_box_clipping(self):
         ball = RegionBall(np.array([0.1, 0.1]), 0.5)
@@ -214,3 +229,109 @@ def test_points_level_out_of_range_rejected():
     g = grid_1d(max_level=4)
     with pytest.raises(ValueError):
         g.points(5)
+
+
+
+# A copy of the numpy window and enumeration that cover_points,
+# cover_window_size and points used before they moved to per-axis scalar
+# arithmetic; the tests below pin the new code to these bits.
+
+
+def reference_delta(grid, level):
+    return float(np.linalg.norm(grid.upper - grid.lower)) / float(2**level)
+
+
+def reference_window(grid, region, level):
+    c = region.center
+    outside = np.maximum(grid.lower - c, 0.0) + np.maximum(c - grid.upper, 0.0)
+    if float(np.sqrt((outside**2).sum())) > region.radius:
+        return None
+    reach = region.radius + reference_delta(grid, level)
+    h = (grid.upper - grid.lower) / float(2**level)
+    k_lo = np.maximum(np.floor((c - reach - grid.lower) / h).astype(int) - 1, 0)
+    k_hi = np.minimum(np.ceil((c + reach - grid.lower) / h).astype(int) + 1,
+                      2**level)
+    if np.any(k_lo > k_hi):
+        return None
+    return k_lo, k_hi
+
+
+def reference_window_size(grid, region, level):
+    window = reference_window(grid, region, level)
+    if window is None:
+        return 0
+    k_lo, k_hi = window
+    return math.prod(int(n) for n in k_hi - k_lo + 1)
+
+
+def reference_enumerate(grid, level, k_lo, k_hi):
+    h = (grid.upper - grid.lower) / float(2**level)
+    axes = [grid.lower[i] + np.arange(k_lo[i], k_hi[i] + 1) * h[i]
+            for i in range(grid.dim)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
+
+
+def reference_cover_points(grid, region):
+    window = reference_window(grid, region, grid.level)
+    if window is None:
+        return np.zeros((0, grid.dim))
+    pts = reference_enumerate(grid, grid.level, *window)
+    dist = np.sqrt(((pts - region.center) ** 2).sum(axis=1))
+    return pts[dist <= region.radius + reference_delta(grid, grid.level)]
+
+
+@st.composite
+def boxes_and_regions(draw):
+    """(grid, region): d = 1-9, anisotropic non-unit boxes, centres that may
+    lie outside the box, and radius 0 among the radii."""
+    dim = draw(st.integers(1, 9))
+    lower = np.array([draw(st.floats(-2.0, 2.0)) for _ in range(dim)])
+    span = np.array([draw(st.floats(0.25, 3.0)) for _ in range(dim)])
+    level = draw(st.integers(1, 12))
+    grid = DyadicGrid(lower, lower + span, level, 12)
+    frac = np.array([draw(st.floats(-0.6, 1.6)) for _ in range(dim)])
+    radius = draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0)))
+    return grid, RegionBall(lower + frac * span, radius)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(boxes_and_regions())
+def test_cover_matches_the_numpy_reference_bitwise(case):
+    grid, region = case
+    for level in range(grid.max_level + 1):
+        assert grid.delta(level) == reference_delta(grid, level)
+        assert grid.cover_window_size(region, level) == reference_window_size(
+            grid, region, level)
+    if reference_window_size(grid, region, grid.level) <= 20_000:
+        got = grid.cover_points(region)
+        want = reference_cover_points(grid, region)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_points_match_the_numpy_reference_bitwise(dim):
+    grid = DyadicGrid(np.linspace(-0.3, 0.4, dim), np.linspace(0.9, 2.6, dim),
+                      0, 5)
+    for level in range(6 - dim):
+        full = [2**level] * dim
+        want = reference_enumerate(grid, level, [0] * dim, full)
+        assert grid.points(level).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dim", range(1, 10))
+def test_touching_regions_meet_the_box_as_in_the_reference(dim):
+    # a ball whose radius is exactly the reference's centre-to-box distance
+    # meets the box only if that distance is summed in the same order, so
+    # these cases pin the summation on both sides of numpy's 8-term block
+    rng = np.random.default_rng(300 + dim)
+    lower = rng.uniform(-2.0, 2.0, dim)
+    grid = DyadicGrid(lower, lower + rng.uniform(0.25, 3.0, dim), 3, 6)
+    for _ in range(500):
+        center = grid.lower + rng.uniform(-1.5, 2.5, dim) * (grid.upper - grid.lower)
+        outside = (np.maximum(grid.lower - center, 0.0)
+                   + np.maximum(center - grid.upper, 0.0))
+        region = RegionBall(center, float(np.sqrt((outside**2).sum())))
+        assert grid.cover_window_size(region) == reference_window_size(
+            grid, region, grid.level)
