@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable
 
@@ -17,6 +17,8 @@ from .kernels import KernelSpec
 from .lattice import DyadicGrid, point_keys
 
 ENUMERATION_CAP = 20_000
+PROBE_REFINE = 2  # variance probes lie this many levels finer than the cover
+JITTER_FLOOR_MARGIN = 2.0  # sup sigma below this times sqrt(jitter) is floor
 
 
 @dataclass(frozen=True)
@@ -33,7 +35,6 @@ class Objective:
     fn: Callable[[np.ndarray], float]
     known_max_point: np.ndarray | None = None
     known_max_value: float | None = None
-    descriptor: dict = field(default_factory=dict)
     batch: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
@@ -60,45 +61,41 @@ class Objective:
 class TablePrior:
     """The prior over one table lattice, shared by every seed drawn on it.
 
-    ``post`` is a zero-valued fit on the lattice: its points, the factor of
-    the jittered Gram matrix and the jitter actually used depend only on
-    (spec, lattice, jitter). ``index`` maps each point, as a tuple, to its row.
+    ``grid`` is the table lattice, ``DyadicGrid(lower, upper, 0, level)``.
+    ``post`` is a zero-valued fit on its points: the factor of the jittered
+    Gram matrix and the jitter actually used depend only on (spec, lattice,
+    jitter). ``index`` maps each point's key (`point_keys`) to its row.
     """
 
+    grid: DyadicGrid
     post: gp.GPPosterior
     index: dict
 
 
 def table_prior(spec: KernelSpec, grid: DyadicGrid, level: int,
                 jitter: float | None = None) -> TablePrior:
-    """Factor the prior over the level-`level` lattice once, for many seeds."""
-    if not 0 <= level <= grid.max_level:
-        raise ValueError("level must lie in [0, grid.max_level]")
-    if grid.num_points(level) > ENUMERATION_CAP:
+    """Factor the prior over `grid`'s level-`level` lattice once, for many seeds."""
+    if not 1 <= level <= grid.max_level:
+        raise ValueError("table level must lie in [1, grid.max_level]")
+    table = DyadicGrid(grid.lower, grid.upper, 0, level)
+    if table.num_points(level) > ENUMERATION_CAP:
         raise GridTooLargeError(
-            f"{grid.num_points(level)} table points exceed the "
+            f"{table.num_points(level)} table points exceed the "
             f"{ENUMERATION_CAP} cap"
         )
-    pts = grid.points(level)
+    pts = table.points(level)
     post = gp.fit(spec, gp.ObservationSet(pts, np.zeros(len(pts))), jitter)
-    return TablePrior(post, {tuple(p): i for i, p in enumerate(pts)})
+    return TablePrior(table, post, dict(zip(point_keys(pts), range(len(pts)))))
 
 
-def gp_sample_objective(spec: KernelSpec, grid: DyadicGrid, level: int,
-                        seed: int, prior: TablePrior | None = None) -> Objective:
-    """Tabulate one prior draw over the level-`level` lattice.
+def gp_sample_objective(prior: TablePrior, seed: int) -> Objective:
+    """Tabulate one prior draw over the table lattice of `prior`.
 
     Evaluation at a table point is an exact lookup; any other point gets the
     posterior-mean interpolant conditioned on the full table. The known
-    maximum is the table argmax. Seeds that share a lattice pass one
-    `table_prior(spec, grid, level)` as `prior`, so each seed costs one
-    draw; without one, the objective builds its own at the default jitter.
+    maximum is the table argmax. Seeds that share a lattice share one
+    `table_prior`, so each seed costs one draw.
     """
-    if prior is None:
-        prior = table_prior(spec, grid, level)
-    elif (prior.post.spec != spec or len(prior.post) != grid.num_points(level)
-          or not np.array_equal(prior.post.obs.points, grid.points(level))):
-        raise ValueError("the prior was built for another spec or lattice")
     pts = prior.post.obs.points
     vals = gp.prior_draw(prior.post, seed)
     state: dict = {}
@@ -125,12 +122,8 @@ def gp_sample_objective(spec: KernelSpec, grid: DyadicGrid, level: int,
         return out
 
     imax = int(np.argmax(vals))
-    return Objective(
-        grid.lower, grid.upper, evaluate, pts[imax].copy(), float(vals[imax]),
-        {"name": "gp-sample", "level": level, "seed": seed,
-         "kernel": spec.family, "lengthscales": spec.lengthscales},
-        batch,
-    )
+    return Objective(prior.grid.lower, prior.grid.upper, evaluate,
+                     pts[imax].copy(), float(vals[imax]), batch)
 
 
 def quadratic_objective(center, curvature: float, peak: float,
@@ -147,10 +140,7 @@ def quadratic_objective(center, curvature: float, peak: float,
     def evaluate(x: np.ndarray) -> float:
         return peak - curvature * float(((x - center) ** 2).sum())
 
-    return Objective(
-        lower, upper, evaluate, center.copy(), float(peak),
-        {"name": "quadratic", "curvature": float(curvature), "peak": float(peak)},
-    )
+    return Objective(lower, upper, evaluate, center.copy(), float(peak))
 
 
 def boundary_max_objective(lower, upper) -> Objective:
@@ -161,10 +151,7 @@ def boundary_max_objective(lower, upper) -> Objective:
     def evaluate(x: np.ndarray) -> float:
         return float(np.sum(x))
 
-    return Objective(
-        lower, upper, evaluate, upper.copy(), float(np.sum(upper)),
-        {"name": "boundary"},
-    )
+    return Objective(lower, upper, evaluate, upper.copy(), float(np.sum(upper)))
 
 
 def enumeration_level(grid: DyadicGrid, cap: int = ENUMERATION_CAP) -> int:
@@ -315,20 +302,34 @@ def fit_rate(series: RegretSeries) -> RateFit:
 
 @dataclass(frozen=True)
 class VarianceScaling:
-    """Worst posterior deviation per cover level, with the log-log slope."""
+    """Worst posterior deviation and fit jitter per cover level."""
 
     levels: tuple[int, ...]
     deltas: np.ndarray
     sup_sigmas: np.ndarray
-    slope: float
+    jitters: np.ndarray
+
+    @property
+    def slope(self) -> float:
+        """Least-squares slope of ln(sup sigma) on ln(delta); NaN below two levels."""
+        if len(self.levels) < 2:
+            return float("nan")
+        return float(np.polyfit(np.log(self.deltas), np.log(self.sup_sigmas), 1)[0])
+
+    def above_floor(self) -> VarianceScaling:
+        """The levels whose sup sigma exceeds JITTER_FLOOR_MARGIN * sqrt(jitter);
+        below that the jitter, not the variance lemma, sets sup sigma."""
+        keep = self.sup_sigmas > JITTER_FLOOR_MARGIN * np.sqrt(self.jitters)
+        return VarianceScaling(tuple(lev for lev, k in zip(self.levels, keep) if k),
+                               self.deltas[keep], self.sup_sigmas[keep],
+                               self.jitters[keep])
 
 
 def variance_bound_experiment(spec: KernelSpec, lower, upper, levels,
-                              jitter: float | None = None,
-                              probe_refine: int = 2) -> VarianceScaling:
+                              jitter: float | None = None) -> VarianceScaling:
     """Fit full-domain covers level by level; record the worst deviation.
 
-    Deviations are probed on a lattice `probe_refine` levels finer than each
+    Deviations are probed on a lattice PROBE_REFINE levels finer than each
     cover. Stops early if a cover becomes numerically unfactorizable and
     reports only the levels that completed. The slope regresses
     ln(sup sigma) on ln(delta). The variance lemma is an upper bound,
@@ -336,17 +337,19 @@ def variance_bound_experiment(spec: KernelSpec, lower, upper, levels,
     it shows as a slope of at least 2 with every level under the bound, not
     as a slope of exactly 2: Matern-5/2 measures about 2 on coarse levels,
     the analytic SE kernel measures steeper, and sup sigma stops falling
-    near sqrt(jitter), about 1e-5 at the default jitter and unit output scale.
+    near sqrt(jitter), about 1e-5 at the default jitter and unit output
+    scale. `VarianceScaling.above_floor` drops the levels at that floor.
     """
     levels = [int(v) for v in levels]
     if not levels or any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError(
             f"levels must be non-empty and strictly ascending, got {levels}"
         )
-    grid = DyadicGrid(lower, upper, 0, max(max(levels) + probe_refine, 1))
+    grid = DyadicGrid(lower, upper, 0, max(max(levels) + PROBE_REFINE, 1))
     done: list[int] = []
     deltas: list[float] = []
     sups: list[float] = []
+    jitters: list[float] = []
     for lev in levels:
         pts = grid.points(lev)
         try:
@@ -354,16 +357,14 @@ def variance_bound_experiment(spec: KernelSpec, lower, upper, levels,
             post = gp.fit(spec, gp.ObservationSet(pts, np.zeros(len(pts))), jitter)
         except IllConditionedError:
             break
-        probes = grid.points(lev + probe_refine)
+        probes = grid.points(lev + PROBE_REFINE)
         _, sigmas = post.predict_batch(probes)
         done.append(lev)
         deltas.append(grid.delta(lev))
         sups.append(float(sigmas.max()))
-    if len(done) >= 2:
-        slope = float(np.polyfit(np.log(deltas), np.log(sups), 1)[0])
-    else:
-        slope = float("nan")
-    return VarianceScaling(tuple(done), np.asarray(deltas), np.asarray(sups), slope)
+        jitters.append(post.jitter)
+    return VarianceScaling(tuple(done), np.asarray(deltas), np.asarray(sups),
+                           np.asarray(jitters))
 
 
 @dataclass(frozen=True)
@@ -422,7 +423,7 @@ def envelope_experiment(spec: KernelSpec, grid: DyadicGrid, level: int,
     For every shrink of every run, compares |f - mu| with sqrt(beta) * sigma
     at all shrink candidates and tracks whether the table argmax stays inside
     the shrunken region. The report's coverage is the fraction of seeds with
-    zero violations. Runs stop at the table level, so every evaluated and
+    zero violations. Runs are on the table lattice, so every evaluated and
     audited point is a table row, whatever ``grid.max_level`` is.
     """
     if n_seeds < 100:
@@ -432,11 +433,11 @@ def envelope_experiment(spec: KernelSpec, grid: DyadicGrid, level: int,
     seeds = tuple(range(first_seed, first_seed + n_seeds))
     prior = table_prior(spec, grid, level, jitter)
     for i, seed in enumerate(seeds):
-        objective = gp_sample_objective(spec, grid, level, seed, prior=prior)
-        audit = _EnvelopeAudit(objective, grid)
+        objective = gp_sample_objective(prior, seed)
+        audit = _EnvelopeAudit(objective, prior.grid)
         config = RunConfig(alpha=alpha, max_evaluations=budget, jitter=jitter,
-                           seed=seed, max_level=level)
-        run(objective, spec, grid, config, observer=audit)
+                           seed=seed)
+        run(objective, spec, prior.grid, config, observer=audit)
         ratios[i] = audit.max_ratio
         kept_ok[i] = audit.retained
     return EnvelopeReport(alpha, seeds, ratios, kept_ok)

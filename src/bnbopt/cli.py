@@ -45,29 +45,21 @@ def _parse_floats(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip() != ""]
 
 
-def _parse_seeds(text: str) -> list[int]:
-    """Either "A..B" (inclusive range) or "N" (seeds 0..N-1)."""
+def _parse_range(text: str, what: str) -> list[int]:
+    """"A..B" is the inclusive range; otherwise seeds are a count "N" (seeds
+    0..N-1) and levels a comma-separated list. `what` is "seed" or "level"."""
     if ".." in text:
         a, b = text.split("..", 1)
         lo, hi = int(a), int(b)
         if hi < lo:
-            raise ValueError(f"empty seed range {text!r}")
+            raise ValueError(f"empty {what} range {text!r}")
         return list(range(lo, hi + 1))
+    if what == "level":
+        return [int(tok) for tok in text.split(",")]
     n = int(text)
     if n < 1:
         raise ValueError("seed count must be positive")
     return list(range(n))
-
-
-def _parse_levels(text: str) -> list[int]:
-    """Either "A..B" (inclusive range) or a comma-separated list."""
-    if ".." in text:
-        a, b = text.split("..", 1)
-        lo, hi = int(a), int(b)
-        if hi < lo:
-            raise ValueError(f"empty level range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(tok) for tok in text.split(",")]
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -130,39 +122,35 @@ class _Settings:
         return DyadicGrid(self.lower, self.upper, 0, self.max_level)
 
 
-def _build_objective(name: str, settings: _Settings, seed: int,
-                     prior: bench.TablePrior | None = None) -> tuple:
-    """Returns (objective, run_max_level); `prior` is shared by gp-sample seeds."""
+def _table(name: str, settings: _Settings) -> bench.TablePrior | None:
+    """The gp-sample table at the deepest level within the enumeration cap,
+    one per command; runs on its grid hit the table only. None otherwise."""
+    if name != "gp-sample":
+        return None
     grid = settings.grid()
+    return bench.table_prior(settings.spec, grid, bench.enumeration_level(grid))
+
+
+def _build_objective(name: str, settings: _Settings, seed: int,
+                     table: bench.TablePrior | None) -> bench.Objective:
     if name == "gp-sample":
-        # keep the run on the tabulated lattice so every sample is a table hit
-        table_level = bench.enumeration_level(grid)
-        objective = bench.gp_sample_objective(settings.spec, grid, table_level,
-                                              seed, prior=prior)
-        return objective, table_level
+        return bench.gp_sample_objective(table, seed)
     if name == "quadratic":
         center = settings.lower + 0.5 * (settings.upper - settings.lower)
-        return (
-            bench.quadratic_objective(center, 1.0, 1.0, settings.lower, settings.upper),
-            settings.max_level,
-        )
+        return bench.quadratic_objective(center, 1.0, 1.0, settings.lower,
+                                         settings.upper)
     if name == "boundary":
-        return (
-            bench.boundary_max_objective(settings.lower, settings.upper),
-            settings.max_level,
-        )
+        return bench.boundary_max_objective(settings.lower, settings.upper)
     raise ValueError(f"unknown objective {name!r}")
 
 
 def _run_strategy(strategy: str, objective, settings: _Settings, seed: int,
-                  run_max_level: int) -> bnb.RunTrace:
+                  grid: DyadicGrid) -> bnb.RunTrace:
     config = bnb.RunConfig(
         alpha=settings.alpha,
         max_evaluations=settings.budget,
         seed=seed,
-        max_level=run_max_level,
     )
-    grid = DyadicGrid(settings.lower, settings.upper, 0, run_max_level)
     if strategy == "bnb":
         return bnb.run(objective, settings.spec, grid, config)
     if strategy == "ucb":
@@ -209,9 +197,11 @@ def _write_iterations_csv(path: Path, trace: bnb.RunTrace, dim: int) -> None:
 def cmd_run(args) -> int:
     settings = _Settings(args)
     seed = args.seed if args.seed is not None else 0
-    objective, run_max_level = _build_objective(args.objective, settings, seed)
+    table = _table(args.objective, settings)
+    objective = _build_objective(args.objective, settings, seed, table)
+    grid = table.grid if table is not None else settings.grid()
     started = time.perf_counter()
-    trace = _run_strategy("bnb", objective, settings, seed, run_max_level)
+    trace = _run_strategy("bnb", objective, settings, seed, grid)
     elapsed = time.perf_counter() - started
     settings.out_dir.mkdir(parents=True, exist_ok=True)
     _write_trace_csv(settings.out_dir / "trace.csv", trace, objective)
@@ -240,22 +230,19 @@ def cmd_compare(args) -> int:
     for s in strategies:
         if s not in STRATEGIES:
             raise ValueError(f"unknown strategy {s!r}; choose from {STRATEGIES}")
-    seeds = _parse_seeds(args.seeds)
+    seeds = _parse_range(args.seeds, "seed")
     settings.out_dir.mkdir(parents=True, exist_ok=True)
-    prior = None
-    if args.objective == "gp-sample":
-        # one factor of the table's prior Gram matrix serves every seed
-        grid = settings.grid()
-        prior = bench.table_prior(settings.spec, grid, bench.enumeration_level(grid))
+    table = _table(args.objective, settings)
+    grid = table.grid if table is not None else settings.grid()
     # one objective per seed, shared by every strategy
-    built = {seed: _build_objective(args.objective, settings, seed, prior)
+    built = {seed: _build_objective(args.objective, settings, seed, table)
              for seed in seeds}
     summary_rows = []
     for strategy in strategies:
         finals, cumulatives, amps, rates, r2s = [], [], [], [], []
         for seed in seeds:
-            objective, run_max_level = built[seed]
-            trace = _run_strategy(strategy, objective, settings, seed, run_max_level)
+            objective = built[seed]
+            trace = _run_strategy(strategy, objective, settings, seed, grid)
             _write_trace_csv(
                 settings.out_dir / f"{strategy}_seed{seed}_trace.csv",
                 trace, objective,
@@ -300,7 +287,7 @@ def cmd_verify(args) -> int:
     exp_dir = settings.out_dir / args.target  # one directory per experiment
     exp_dir.mkdir(parents=True, exist_ok=True)
     if args.target == "variance":
-        levels = _parse_levels(args.levels)
+        levels = _parse_range(args.levels, "level")
         result = bench.variance_bound_experiment(
             settings.spec, settings.lower, settings.upper, levels
         )
@@ -309,21 +296,25 @@ def cmd_verify(args) -> int:
             writer.writerow(["level", "delta", "sup_sigma"])
             for lev, d, s in zip(result.levels, result.deltas, result.sup_sigmas):
                 writer.writerow([lev, _fmt(d), _fmt(s)])
+        # levels at the sqrt(jitter) floor say nothing about the lemma
+        judged = result.above_floor()
+        floored = [lev for lev in result.levels if lev not in judged.levels]
         # the variance lemma is an upper bound, sup sigma <= Q * delta^2 / 4,
         # so decay may be faster than quadratic but never slower
-        bounds = smoothness_constant(settings.spec) * result.deltas ** 2 / 4.0
-        decreasing = bool(np.all(np.diff(result.sup_sigmas) < 0.0))
-        bounded = bool(np.all(result.sup_sigmas <= bounds))
-        ok = result.slope >= VARIANCE_MIN_SLOPE and decreasing and bounded
+        bounds = smoothness_constant(settings.spec) * judged.deltas ** 2 / 4.0
+        decreasing = bool(np.all(np.diff(judged.sup_sigmas) < 0.0))
+        bounded = bool(np.all(judged.sup_sigmas <= bounds))
+        # under two judged levels the slope is NaN, and the check fails
+        ok = judged.slope >= VARIANCE_MIN_SLOPE and decreasing and bounded
         print(
-            f"variance: slope={result.slope:.4f} (expect >= {VARIANCE_MIN_SLOPE}) "
+            f"variance: slope={judged.slope:.4f} (expect >= {VARIANCE_MIN_SLOPE}) "
             f"strictly_decreasing={decreasing} "
-            f"sup_sigma<=Q*delta^2/4={bounded} levels={list(result.levels)} "
-            f"-> {'PASS' if ok else 'FAIL'}"
+            f"sup_sigma<=Q*delta^2/4={bounded} levels={list(judged.levels)} "
+            f"at_jitter_floor={floored} -> {'PASS' if ok else 'FAIL'}"
         )
         return EXIT_OK if ok else EXIT_CHECK_FAILED
     if args.target == "envelope":
-        seeds = _parse_seeds(args.seeds)
+        seeds = _parse_range(args.seeds, "seed")
         n_seeds = len(seeds)
         grid = settings.grid()
         level = bench.enumeration_level(grid)

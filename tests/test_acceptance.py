@@ -17,6 +17,7 @@ from bnbopt.bench import (
     plain_ucb_run,
     quadratic_objective,
     regret_series,
+    table_prior,
     variance_bound_experiment,
     RegretSeries,
 )
@@ -57,7 +58,7 @@ def regret_suite():
     grid = suite_grid(10)
     runs = []
     for seed in range(20):
-        objective = gp_sample_objective(spec, grid, 10, seed=seed)
+        objective = gp_sample_objective(table_prior(spec, grid, 10), seed=seed)
         config = RunConfig(alpha=SUITE_ALPHA, max_evaluations=SUITE_BUDGET,
                            seed=seed)
         bnb_trace = run(objective, spec, grid, config)
@@ -211,7 +212,7 @@ def test_criterion_6_bounded_vs_unbounded_cumulative_regret(regret_suite):
     # fully swept by the plain UCB baseline
     spec = suite_spec()
     grid9 = suite_grid(3)
-    objective = gp_sample_objective(spec, grid9, 3, seed=0)
+    objective = gp_sample_objective(table_prior(spec, grid9, 3), seed=0)
     sweep = plain_ucb_run(objective, spec, grid9,
                           RunConfig(alpha=SUITE_ALPHA, max_evaluations=9))
     swept = {tuple(p) for p in sweep.points} == {tuple(p)
@@ -241,7 +242,7 @@ def test_criterion_7_algorithmic_invariants():
     # deterministic suite run with full instrumentation
     spec = suite_spec()
     grid = suite_grid(8)
-    objective = gp_sample_objective(spec, grid, 8, seed=3)
+    objective = gp_sample_objective(table_prior(spec, grid, 8), seed=3)
     config = RunConfig(alpha=SUITE_ALPHA, max_evaluations=SUITE_BUDGET, seed=3)
     events = []
     trace = run(objective, spec, grid, config, observer=events.append)

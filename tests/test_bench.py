@@ -24,7 +24,7 @@ from bnbopt.bnb import RunConfig, RunTrace, beta
 from bnbopt.errors import GridTooLargeError, InsufficientDataError
 from bnbopt.gp import ObservationSet, fit, prior_draw, sample_prior_on_grid
 from bnbopt.kernels import KernelSpec
-from bnbopt.lattice import DyadicGrid
+from bnbopt.lattice import DyadicGrid, point_keys
 
 
 def spec_se(dim=1, ls=0.3, scale=1.0):
@@ -38,14 +38,14 @@ def unit_grid(dim=1, max_level=8):
 class TestGpSampleObjective:
     def test_same_seed_identical_table(self):
         spec, grid = spec_se(), unit_grid(max_level=5)
-        a = gp_sample_objective(spec, grid, 5, seed=7)
-        b = gp_sample_objective(spec, grid, 5, seed=7)
+        a = gp_sample_objective(table_prior(spec, grid, 5), seed=7)
+        b = gp_sample_objective(table_prior(spec, grid, 5), seed=7)
         for p in grid.points(5):
             assert a(p) == b(p)
 
     def test_table_point_evaluation_is_exact_lookup(self):
         spec, grid = spec_se(), unit_grid(max_level=5)
-        obj = gp_sample_objective(spec, grid, 4, seed=3)
+        obj = gp_sample_objective(table_prior(spec, grid, 4), seed=3)
         pts = grid.points(4)
         from bnbopt.gp import sample_prior_on_grid
 
@@ -55,7 +55,7 @@ class TestGpSampleObjective:
 
     def test_known_max_matches_exhaustive_scan(self):
         spec, grid = spec_se(), unit_grid(max_level=6)
-        obj = gp_sample_objective(spec, grid, 6, seed=11)
+        obj = gp_sample_objective(table_prior(spec, grid, 6), seed=11)
         pts = grid.points(6)
         vals = np.array([obj(p) for p in pts])
         i = int(np.argmax(vals))
@@ -64,7 +64,7 @@ class TestGpSampleObjective:
 
     def test_finer_points_use_exact_interpolant(self):
         spec, grid = spec_se(), unit_grid(max_level=6)
-        obj = gp_sample_objective(spec, grid, 4, seed=5)
+        obj = gp_sample_objective(table_prior(spec, grid, 4), seed=5)
         table_pts = grid.points(4)
         table_vals = np.array([obj(p) for p in table_pts])
         post = fit(spec, ObservationSet(table_pts, table_vals))
@@ -73,7 +73,7 @@ class TestGpSampleObjective:
 
     def test_repeated_evaluation_deterministic(self):
         spec, grid = spec_se(), unit_grid(max_level=6)
-        obj = gp_sample_objective(spec, grid, 5, seed=9)
+        obj = gp_sample_objective(table_prior(spec, grid, 5), seed=9)
         x = grid.points(6)[17]
         assert obj(x) == obj(x)
 
@@ -81,7 +81,7 @@ class TestGpSampleObjective:
         spec = spec_se(dim=2, ls=0.3)
         grid = unit_grid(dim=2, max_level=10)
         with pytest.raises(GridTooLargeError):
-            gp_sample_objective(spec, grid, 10, seed=0)
+            gp_sample_objective(table_prior(spec, grid, 10), seed=0)
 
 
 class TestValuesAt:
@@ -97,11 +97,11 @@ class TestValuesAt:
         spec, grid = spec_se(dim=dim), unit_grid(dim=dim, max_level=fine)
         rng = np.random.default_rng(dim)
         pts = grid.points(fine)[rng.permutation(grid.num_points(fine))]
-        on_table = gp_sample_objective(spec, grid, fine, seed=4)
+        on_table = gp_sample_objective(table_prior(spec, grid, fine), seed=4)
         assert on_table.batch is not None
         self.assert_matches_calls(on_table, pts)
         # a level-3 table queried at the fine level: off the table and mixed
-        coarse = gp_sample_objective(spec, grid, 3, seed=4)
+        coarse = gp_sample_objective(table_prior(spec, grid, 3), seed=4)
         table = set(map(tuple, grid.points(3).tolist()))
         off = pts[[tuple(p) not in table for p in pts.tolist()]]
         assert 0 < len(off) < len(pts)
@@ -132,7 +132,7 @@ class TestTablePrior:
         gram[np.diag_indices_from(gram)] += gp.DEFAULT_JITTER_FACTOR
         chol = np.linalg.cholesky(gram)
         for seed in range(5):
-            obj = gp_sample_objective(spec, grid, level, seed, prior=prior)
+            obj = gp_sample_objective(prior, seed)
             vals = sample_prior_on_grid(spec, pts, seed)
             z = np.random.default_rng(seed).standard_normal(len(pts))
             assert np.array_equal(vals, chol @ z)
@@ -146,7 +146,7 @@ class TestTablePrior:
         spec = KernelSpec.isotropic(family, 1, 0.3)
         grid = unit_grid(max_level=9)
         prior = table_prior(spec, grid, 3)
-        obj = gp_sample_objective(spec, grid, 3, seed=0, prior=prior)
+        obj = gp_sample_objective(prior, seed=0)
         pts = grid.points(3)
         vals = prior_draw(prior.post, 0)
         reference = fit(spec, ObservationSet(pts, vals), None)
@@ -154,17 +154,18 @@ class TestTablePrior:
             assert prior.post.with_values(vals).predict(x) == reference.predict(x)
             assert obj(x) == reference.predict(x)[0]
 
-    def test_mismatched_prior_rejected(self):
-        spec, grid = spec_se(), unit_grid(max_level=6)
-        prior = table_prior(spec, grid, 5)
-        with pytest.raises(ValueError):
-            gp_sample_objective(spec_se(ls=0.4), grid, 5, 0, prior=prior)
-        with pytest.raises(ValueError):
-            gp_sample_objective(spec, grid, 6, 0, prior=prior)
-        wider = DyadicGrid(np.array([0.0]), np.array([2.0]), 6)
-        with pytest.raises(ValueError):  # same level and spec, another box
-            gp_sample_objective(spec, wider, 5, 0, prior=prior)
-        gp_sample_objective(spec, grid, 5, 0, prior=prior)  # the matching one
+    def test_prior_owns_its_table_lattice(self):
+        # the table lattice keeps the box and stops at the table level
+        grid = DyadicGrid(np.array([0.0]), np.array([2.0]), 0, 9)
+        prior = table_prior(spec_se(), grid, 5)
+        assert (prior.grid.level, prior.grid.max_level) == (0, 5)
+        assert np.array_equal(prior.grid.lower, grid.lower)
+        assert np.array_equal(prior.grid.upper, grid.upper)
+        assert np.array_equal(prior.post.obs.points, grid.points(5))
+        assert list(prior.index) == list(point_keys(grid.points(5)))
+        obj = gp_sample_objective(prior, seed=0)
+        assert np.array_equal(obj.lower, grid.lower)
+        assert np.array_equal(obj.upper, grid.upper)
 
     def test_envelope_factors_the_table_gram_once(self, monkeypatch):
         sizes = []
@@ -235,13 +236,13 @@ class TestBoundaryMaxObjective:
 class TestPlainUcb:
     def test_first_pick_is_lexicographically_first(self):
         spec, grid = spec_se(), unit_grid(max_level=3)
-        obj = gp_sample_objective(spec, grid, 3, seed=2)
+        obj = gp_sample_objective(table_prior(spec, grid, 3), seed=2)
         trace = plain_ucb_run(obj, spec, grid, RunConfig(max_evaluations=1))
         assert trace.points[0, 0] == 0.0
 
     def test_never_repeats_a_point(self):
         spec, grid = spec_se(), unit_grid(max_level=4)
-        obj = gp_sample_objective(spec, grid, 4, seed=3)
+        obj = gp_sample_objective(table_prior(spec, grid, 4), seed=3)
         trace = plain_ucb_run(obj, spec, grid, RunConfig(max_evaluations=17))
         keys = {tuple(p) for p in trace.points}
         assert len(keys) == len(trace)
@@ -249,7 +250,7 @@ class TestPlainUcb:
     def test_exhausts_nine_point_lattice_with_budget_nine(self):
         spec = spec_se()
         grid = unit_grid(max_level=3)  # 9 lattice points
-        obj = gp_sample_objective(spec, grid, 3, seed=4)
+        obj = gp_sample_objective(table_prior(spec, grid, 3), seed=4)
         trace = plain_ucb_run(obj, spec, grid, RunConfig(max_evaluations=9))
         assert len(trace) == 9
         assert {tuple(p) for p in trace.points} == {
@@ -295,7 +296,7 @@ class TestUcbMatchesReference:
     def assert_matches_reference(monkeypatch, spec, grid, table, budget, seeds,
                                  jitter):
         for seed in seeds:
-            obj = gp_sample_objective(spec, grid, table, seed)
+            obj = gp_sample_objective(table_prior(spec, grid, table), seed)
             config = RunConfig(alpha=0.1, max_evaluations=budget, jitter=jitter,
                                seed=seed)
             with monkeypatch.context() as patch:
@@ -336,7 +337,7 @@ class TestUcbMatchesReference:
         # the baseline appends its own factor rows: a per-step extend or refit
         # would show here
         spec, grid = spec_se(), unit_grid(max_level=10)
-        obj = gp_sample_objective(spec, grid, 10, seed=0)
+        obj = gp_sample_objective(table_prior(spec, grid, 10), seed=0)
         extends = []
         original_extend = gp.GPPosterior.extend
 
@@ -356,7 +357,7 @@ class TestUcbMatchesReference:
 class TestRandomRun:
     def test_deterministic_and_duplicate_free(self):
         grid = unit_grid(max_level=5)
-        obj = gp_sample_objective(spec_se(), grid, 5, seed=1)
+        obj = gp_sample_objective(table_prior(spec_se(), grid, 5), seed=1)
         a = random_run(obj, grid, RunConfig(max_evaluations=20, seed=9))
         b = random_run(obj, grid, RunConfig(max_evaluations=20, seed=9))
         assert a.points.tobytes() == b.points.tobytes()
@@ -364,7 +365,7 @@ class TestRandomRun:
 
     def test_top_decile_hit_rate(self):
         grid = unit_grid(max_level=6)  # 65 points
-        obj = gp_sample_objective(spec_se(), grid, 6, seed=0)
+        obj = gp_sample_objective(table_prior(spec_se(), grid, 6), seed=0)
         vals = np.array([obj(p) for p in grid.points(6)])
         k = round(len(vals) / 10)
         cutoff = np.sort(vals)[-k]
@@ -415,7 +416,7 @@ class TestRegretSeries:
         from bnbopt.bnb import run
 
         spec, grid = spec_se(), unit_grid(max_level=8)
-        obj = gp_sample_objective(spec, grid, 8, seed=13)
+        obj = gp_sample_objective(table_prior(spec, grid, 8), seed=13)
         trace = run(obj, spec, grid, RunConfig(alpha=0.1, max_evaluations=200))
         series = regret_series(trace, obj)
         assert np.all(np.diff(series.simple) <= 0.0)
@@ -623,5 +624,7 @@ class TestEnumerationLevel:
 
 
 def test_gp_sample_level_out_of_range():
-    with pytest.raises(ValueError):
-        gp_sample_objective(spec_se(), unit_grid(max_level=5), 6, seed=0)
+    # a table lattice needs 1 <= level <= grid.max_level
+    for level in (0, 6):
+        with pytest.raises(ValueError, match="table level"):
+            table_prior(spec_se(), unit_grid(max_level=5), level)

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from bnbopt.bench import Objective, gp_sample_objective, quadratic_objective
+from bnbopt.bench import (Objective, gp_sample_objective, quadratic_objective,
+                          table_prior)
 from bnbopt.bnb import (
     RunConfig,
     RunTrace,
@@ -252,7 +253,7 @@ class TestRun:
     def test_gp_sample_on_33_point_grid_finds_exhaustive_argmax(self):
         spec = spec_se()
         grid = unit_grid(max_level=5)
-        obj = gp_sample_objective(spec, grid, 5, seed=12)
+        obj = gp_sample_objective(table_prior(spec, grid, 5), seed=12)
         trace = run(obj, spec, grid, RunConfig(alpha=0.1, max_evaluations=200,
                                                seed=12))
         point, value = trace.incumbent(len(trace))
@@ -269,7 +270,7 @@ class TestRunInvariants:
     def _gp_run(self, seed, observer=None):
         spec = spec_se()
         grid = unit_grid(max_level=8)
-        obj = gp_sample_objective(spec, grid, 8, seed=seed)
+        obj = gp_sample_objective(table_prior(spec, grid, 8), seed=seed)
         cfg = RunConfig(alpha=0.1, max_evaluations=200, seed=seed)
         return run(obj, spec, grid, cfg, observer=observer), obj, grid
 
@@ -340,7 +341,7 @@ class TestRunInvariants:
         # candidate argmax of f survives every shrink (non-strict rule)
         spec = spec_se()
         grid = unit_grid(max_level=8)
-        obj = gp_sample_objective(spec, grid, 8, seed=6)
+        obj = gp_sample_objective(table_prior(spec, grid, 8), seed=6)
         events = []
         run(obj, spec, grid, RunConfig(alpha=0.1, max_evaluations=200, seed=6),
             observer=events.append)

@@ -57,6 +57,25 @@ class TestRun:
             incumbent = max(incumbent, value)
             assert float(row["incumbent_value"]) == incumbent
 
+    def test_gp_sample_run_stays_on_the_table_lattice(self, tmp_path,
+                                                      monkeypatch):
+        # --max-level 20 picks the deepest table within the enumeration cap
+        # (level 14 at the default cap, a 16,385-point dense fit of several
+        # GB); a 257-point cap puts the table at level 8. Seed 0 refines to
+        # level 15 when its run is allowed the whole level-20 lattice
+        original = bench.enumeration_level
+        monkeypatch.setattr(bench, "enumeration_level",
+                            lambda grid: original(grid, cap=257))
+        out = tmp_path / "o"
+        code = run_cli("run", "--objective", "gp-sample", "--max-level", "20",
+                       "--budget", "60", "--seed", "0", "--out", str(out))
+        assert code == 0
+        xs = np.array([float(r["x0"]) for r in read_csv(out / "trace.csv")])
+        assert len(xs) > 0
+        assert np.array_equal(xs * 2**8, np.round(xs * 2**8))
+        levels = [int(r["level"]) for r in read_csv(out / "iterations.csv")]
+        assert max(levels) <= 8
+
     def test_missing_objective_is_usage_error(self, tmp_path):
         assert run_cli("run", "--out", str(tmp_path)) == 2
 
@@ -117,7 +136,7 @@ class TestCompare:
         original = bench.gp_sample_objective
 
         def counting(*args, **kwargs):
-            built.append(args[3])
+            built.append(args[1])
             return original(*args, **kwargs)
 
         monkeypatch.setattr(bench, "gp_sample_objective", counting)
@@ -144,6 +163,13 @@ class TestCompare:
                        "--max-level", "6", "--out", str(tmp_path / "c"))
         assert code == 0
         assert sizes.count(65) == 1
+
+    def test_level_zero_table_is_usage_error(self, tmp_path, capsys):
+        # at --dim 10 only the level-0 lattice (2^10 points) fits the cap
+        code = run_cli("compare", "--objective", "gp-sample", "--dim", "10",
+                       "--seeds", "1", "--out", str(tmp_path / "c"))
+        assert code == 2
+        assert "table level" in capsys.readouterr().err
 
     def test_unknown_strategy_is_usage_error(self, tmp_path):
         assert run_cli("compare", "--strategies", "sgd",
@@ -205,6 +231,19 @@ class TestVerify:
         assert run_cli("verify", "variance", "--out", str(out)) == 0
         rows = read_csv(out / "variance" / "variance.csv")
         assert [int(r["level"]) for r in rows] == [1, 2, 3, 4, 5]
+
+    def test_variance_judges_only_levels_above_the_jitter_floor(self, tmp_path,
+                                                                capsys):
+        # SE levels 4..10 sit at the sqrt(jitter) floor, where sup sigma stops
+        # falling; they are reported but judged neither for slope nor bound
+        out = tmp_path / "v"
+        code = run_cli("verify", "variance", "--levels", "1..10",
+                       "--out", str(out))
+        assert code == 0
+        printed = capsys.readouterr().out
+        assert "levels=[1, 2, 3] at_jitter_floor=[4, 5, 6, 7, 8, 9, 10]" in printed
+        rows = read_csv(out / "variance" / "variance.csv")
+        assert [int(r["level"]) for r in rows] == list(range(1, 11))
 
     def test_variance_fails_outside_scaling_regime(self, tmp_path):
         # a lengthscale far below the coarse spacings leaves the deviations

@@ -9,6 +9,7 @@ from bnbopt.bench import (
     enumeration_level,
     gp_sample_objective,
     quadratic_objective,
+    table_prior,
 )
 from bnbopt.bnb import RunConfig, run
 from bnbopt.kernels import FAMILIES, KernelSpec
@@ -41,11 +42,10 @@ def problems(draw):
     elif kind == "boundary":
         objective = boundary_max_objective(lower, upper)
     else:
-        # run on the tabulated lattice so every sample is a table hit
-        max_level = enumeration_level(grid, TABLE_CAP)
-        grid = DyadicGrid(lower, upper, 0, max_level)
-        objective = gp_sample_objective(spec, grid, max_level,
-                                        draw(st.integers(0, 2**16)))
+        # run on the table lattice so every sample is a table hit
+        prior = table_prior(spec, grid, enumeration_level(grid, TABLE_CAP))
+        grid = prior.grid
+        objective = gp_sample_objective(prior, draw(st.integers(0, 2**16)))
     config = RunConfig(alpha=draw(st.sampled_from([0.05, 0.1, 0.5])),
                        max_evaluations=draw(st.integers(20, 300)))
     return objective, spec, grid, config
