@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -26,8 +25,8 @@ class Objective:
     """Deterministic box-domain objective with an optional known maximum.
 
     ``batch``, when set, maps an (n, dim) array to the n values ``fn`` gives
-    at its rows, bitwise; :meth:`values_at` uses it. The optimizer always
-    calls the objective one point at a time.
+    at its rows, bitwise. The optimizer always calls the objective one point
+    at a time.
     """
 
     lower: np.ndarray
@@ -47,14 +46,6 @@ class Objective:
 
     def __call__(self, x) -> float:
         return float(self.fn(np.asarray(x, dtype=float)))
-
-    def values_at(self, points) -> np.ndarray:
-        """Values at the rows of an (n, dim) array, the same bits as calling
-        the objective at each row."""
-        pts = np.asarray(points, dtype=float)
-        if self.batch is not None:
-            return self.batch(pts)
-        return np.array([self(p) for p in pts], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -76,7 +67,13 @@ def table_prior(spec: KernelSpec, grid: DyadicGrid, level: int,
                 jitter: float | None = None) -> TablePrior:
     """Factor the prior over `grid`'s level-`level` lattice once, for many seeds."""
     if not 1 <= level <= grid.max_level:
-        raise ValueError("table level must lie in [1, grid.max_level]")
+        coarsest = grid.num_points(1)
+        raise ValueError(
+            f"table level must lie in [1, {grid.max_level}], got {level}; the "
+            f"level-1 lattice has {coarsest} points, "
+            f"{'over' if coarsest > ENUMERATION_CAP else 'within'} the "
+            f"{ENUMERATION_CAP}-point enumeration cap"
+        )
     table = DyadicGrid(grid.lower, grid.upper, 0, level)
     if table.num_points(level) > ENUMERATION_CAP:
         raise GridTooLargeError(
@@ -91,35 +88,21 @@ def table_prior(spec: KernelSpec, grid: DyadicGrid, level: int,
 def gp_sample_objective(prior: TablePrior, seed: int) -> Objective:
     """Tabulate one prior draw over the table lattice of `prior`.
 
-    Evaluation at a table point is an exact lookup; any other point gets the
-    posterior-mean interpolant conditioned on the full table. The known
-    maximum is the table argmax. Seeds that share a lattice share one
-    `table_prior`, so each seed costs one draw.
+    The objective is defined on the table only: evaluation is an exact
+    lookup, and a point off the table raises `KeyError`. The known maximum
+    is the table argmax. Seeds that share a lattice share one `table_prior`,
+    so each seed costs one draw.
     """
     pts = prior.post.obs.points
     vals = gp.prior_draw(prior.post, seed)
-    state: dict = {}
-
-    def interpolant() -> gp.GPPosterior:
-        if "post" not in state:
-            state["post"] = prior.post.with_values(vals)
-        return state["post"]
 
     def evaluate(x: np.ndarray) -> float:
-        i = prior.index.get(tuple(x))
-        if i is not None:
-            return float(vals[i])
-        mu, _ = interpolant().predict(x)
-        return mu
+        return float(vals[prior.index[tuple(x)]])
 
     def batch(points: np.ndarray) -> np.ndarray:
-        # one gather for the table rows; off-table points take evaluate's path
-        rows = np.fromiter(map(prior.index.get, point_keys(points), repeat(-1)),
+        rows = np.fromiter(map(prior.index.__getitem__, point_keys(points)),
                            dtype=np.intp, count=len(points))
-        out = vals[rows]
-        for j in np.flatnonzero(rows < 0):
-            out[j] = evaluate(points[j])
-        return out
+        return vals[rows]
 
     imax = int(np.argmax(vals))
     return Objective(prior.grid.lower, prior.grid.upper, evaluate,
@@ -400,7 +383,7 @@ class _EnvelopeAudit:
 
     def __call__(self, event: ShrinkEvent) -> None:
         record = event.record
-        f = self.objective.values_at(event.candidates)
+        f = self.objective.batch(event.candidates)
         resid = np.abs(f - event.mus)
         env = math.sqrt(max(record.beta_T, 0.0)) * event.sigmas
         # where the envelope is zero only exact interpolation passes

@@ -106,12 +106,6 @@ class GPPosterior:
     def __len__(self) -> int:
         return len(self.obs)
 
-    def predict(self, x) -> tuple[float, float]:
-        """Posterior mean and standard deviation at a single point."""
-        p = kernels.as_point(self.spec, x)
-        mus, sigmas = self.predict_batch(p[None, :])
-        return float(mus[0]), float(sigmas[0])
-
     def predict_batch(self, xs) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized posterior mean/deviation over an (m, dim) array."""
         x = kernels.as_points(self.spec, xs)
@@ -124,17 +118,6 @@ class GPPosterior:
         var = self.spec.output_scale - np.einsum("ij,ij->j", v, v)
         # negative roundoff clamped before the square root
         return mus, np.sqrt(np.clip(var, 0.0, None))
-
-    def with_values(self, values) -> "GPPosterior":
-        """Posterior at the same points given other values, reusing the factor.
-
-        For a posterior from :func:`fit` this is bitwise what ``fit`` returns
-        for the new values: the factor depends only on the points and the
-        starting jitter.
-        """
-        obs = ObservationSet(self.obs.points, values)
-        weights = cho_solve((self.chol, True), obs.values, check_finite=False)
-        return GPPosterior(self.spec, obs, self.jitter, self.chol, weights)
 
     def extend(self, points, values) -> "GPPosterior":
         """Posterior with a block of m extra observations, via a block factor append.

@@ -138,7 +138,7 @@ def test_criterion_2_posterior_exactness():
             sol = np.linalg.solve(A, k)
             mu_o = float(k @ np.linalg.solve(A, vals))
             sigma_o = math.sqrt(max(0.0, 1.0 - float(k @ sol)))
-            mu, sigma = post.predict(x)
+            (mu,), (sigma,) = post.predict_batch(np.atleast_2d(x))
             worst_mu = max(worst_mu, abs(mu - mu_o))
             worst_sigma = max(worst_sigma, abs(sigma - sigma_o))
         mus, sigmas = post.predict_batch(pts)

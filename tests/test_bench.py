@@ -22,7 +22,7 @@ from bnbopt.bench import (
 from bnbopt import bench, bnb, gp, kernels
 from bnbopt.bnb import RunConfig, RunTrace, beta
 from bnbopt.errors import GridTooLargeError, InsufficientDataError
-from bnbopt.gp import ObservationSet, fit, prior_draw, sample_prior_on_grid
+from bnbopt.gp import ObservationSet, fit, sample_prior_on_grid
 from bnbopt.kernels import KernelSpec
 from bnbopt.lattice import DyadicGrid, point_keys
 
@@ -62,20 +62,19 @@ class TestGpSampleObjective:
         assert np.array_equal(obj.known_max_point, pts[i])
         assert obj.known_max_value == vals[i]
 
-    def test_finer_points_use_exact_interpolant(self):
-        spec, grid = spec_se(), unit_grid(max_level=6)
-        obj = gp_sample_objective(table_prior(spec, grid, 4), seed=5)
-        table_pts = grid.points(4)
-        table_vals = np.array([obj(p) for p in table_pts])
-        post = fit(spec, ObservationSet(table_pts, table_vals))
-        x = grid.points(6)[5]  # off-table lattice point
-        assert obj(x) == pytest.approx(post.predict(x)[0], abs=1e-12)
-
-    def test_repeated_evaluation_deterministic(self):
-        spec, grid = spec_se(), unit_grid(max_level=6)
-        obj = gp_sample_objective(table_prior(spec, grid, 5), seed=9)
-        x = grid.points(6)[17]
-        assert obj(x) == obj(x)
+    @pytest.mark.parametrize("dim, fine", [(1, 6), (2, 4)])
+    def test_off_table_lookups_raise(self, dim, fine):
+        # the objective is its level-3 table: a finer point has no value
+        spec, grid = spec_se(dim=dim), unit_grid(dim=dim, max_level=fine)
+        obj = gp_sample_objective(table_prior(spec, grid, 3), seed=5)
+        pts = grid.points(fine)
+        table = set(point_keys(grid.points(3)))
+        off = [p for p, key in zip(pts, point_keys(pts)) if key not in table]
+        assert 0 < len(off) < len(pts)
+        with pytest.raises(KeyError):
+            obj(off[0])
+        with pytest.raises(KeyError):
+            obj.batch(pts)
 
     def test_oversized_table_rejected(self):
         spec = spec_se(dim=2, ls=0.3)
@@ -85,38 +84,18 @@ class TestGpSampleObjective:
 
 
 class TestValuesAt:
-    @staticmethod
-    def assert_matches_calls(obj, pts):
-        want = np.array([obj(p) for p in pts], dtype=float)
-        got = obj.values_at(pts)
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-
     @pytest.mark.parametrize("dim, fine", [(1, 6), (2, 4)])
     def test_gp_sample_gather_is_the_calls_bitwise(self, dim, fine):
         spec, grid = spec_se(dim=dim), unit_grid(dim=dim, max_level=fine)
         rng = np.random.default_rng(dim)
         pts = grid.points(fine)[rng.permutation(grid.num_points(fine))]
-        on_table = gp_sample_objective(table_prior(spec, grid, fine), seed=4)
-        assert on_table.batch is not None
-        self.assert_matches_calls(on_table, pts)
-        # a level-3 table queried at the fine level: off the table and mixed
-        coarse = gp_sample_objective(table_prior(spec, grid, 3), seed=4)
-        table = set(map(tuple, grid.points(3).tolist()))
-        off = pts[[tuple(p) not in table for p in pts.tolist()]]
-        assert 0 < len(off) < len(pts)
-        self.assert_matches_calls(coarse, off)
-        self.assert_matches_calls(coarse, pts)
-        self.assert_matches_calls(coarse, np.zeros((0, dim)))
-
-    def test_objectives_without_a_batch_map_their_calls(self):
-        rng = np.random.default_rng(8)
-        pts = rng.uniform(0.0, 1.0, size=(40, 3))
-        for obj in (quadratic_objective([0.3, 0.5, 0.6], 4.0, 1.0,
-                                        np.zeros(3), np.ones(3)),
-                    boundary_max_objective(np.zeros(3), np.ones(3))):
-            assert obj.batch is None
-            self.assert_matches_calls(obj, pts)
+        obj = gp_sample_objective(table_prior(spec, grid, fine), seed=4)
+        assert obj.batch is not None
+        for query in (pts, np.zeros((0, dim))):
+            want = np.array([obj(p) for p in query], dtype=float)
+            got = obj.batch(query)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 class TestTablePrior:
@@ -140,19 +119,6 @@ class TestTablePrior:
             i = int(np.argmax(vals))
             assert np.array_equal(obj.known_max_point, pts[i])
             assert obj.known_max_value == vals[i]
-
-    @pytest.mark.parametrize("family", ["se", "matern52"])
-    def test_off_table_interpolant_is_the_fit_bitwise(self, family):
-        spec = KernelSpec.isotropic(family, 1, 0.3)
-        grid = unit_grid(max_level=9)
-        prior = table_prior(spec, grid, 3)
-        obj = gp_sample_objective(prior, seed=0)
-        pts = grid.points(3)
-        vals = prior_draw(prior.post, 0)
-        reference = fit(spec, ObservationSet(pts, vals), None)
-        for x in grid.points(9)[[5, 100, 301]]:  # off the level-3 table
-            assert prior.post.with_values(vals).predict(x) == reference.predict(x)
-            assert obj(x) == reference.predict(x)[0]
 
     def test_prior_owns_its_table_lattice(self):
         # the table lattice keeps the box and stops at the table level
@@ -311,12 +277,12 @@ class TestUcbMatchesReference:
             assert trace.values.tobytes() == values.tobytes()
 
     # (family, dim, lengthscale, lattice level, table level, budget, seeds, jitter);
-    # the 2-D draw is tabulated a level coarser (1089 points, not 4225) and
-    # interpolated in between, which keeps its Cholesky small
+    # the 2-D lattice stops at level 5 (1089 points, not 4225), which keeps
+    # the table's Cholesky small
     @pytest.mark.parametrize("family, dim, ls, level, table, budget, seeds, jitter", [
         ("se", 1, 0.3, 10, 10, 200, range(5), None),
         ("matern52", 1, 0.2, 10, 10, 200, range(5), None),
-        ("se", 2, 0.4, 6, 5, 150, range(3), None),
+        ("se", 2, 0.4, 5, 5, 150, range(3), None),
         # zero jitter makes the Schur complement fail, so the baseline refits
         ("se", 1, 0.3, 8, 8, 60, range(6), 0.0),
     ])
@@ -329,7 +295,7 @@ class TestUcbMatchesReference:
 
     def test_bitwise_equal_traces_anisotropic_box(self, monkeypatch):
         spec = KernelSpec("se", 1.0, (0.3, 0.6), 2)
-        grid = DyadicGrid(np.array([-1.0, 0.0]), np.array([1.0, 2.0]), 0, 6)
+        grid = DyadicGrid(np.array([-1.0, 0.0]), np.array([1.0, 2.0]), 0, 5)
         self.assert_matches_reference(monkeypatch, spec, grid, 5, 150, range(2),
                                       None)
 
@@ -555,7 +521,7 @@ class TestEnvelopeExperiment:
 
     def test_runs_and_audit_stay_on_the_table(self, monkeypatch):
         # a grid finer than the table must not take the runs off it, where
-        # the objective is the table's interpolant rather than a prior draw
+        # the objective has no value
         table = set(map(tuple, unit_grid(max_level=6).points(6).tolist()))
         audited = []
         audit = bench._EnvelopeAudit.__call__

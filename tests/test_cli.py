@@ -48,8 +48,10 @@ class TestRun:
 
     def test_trace_floats_round_trip(self, tmp_path):
         out = tmp_path / "o"
-        run_cli("run", "--objective", "gp-sample", "--budget", "30",
-                "--max-level", "6", "--seed", "1", "--out", str(out))
+        # the default gp-sample run stays on its table, so it exits 0
+        code = run_cli("run", "--objective", "gp-sample", "--budget", "30",
+                       "--max-level", "6", "--seed", "1", "--out", str(out))
+        assert code == 0
         rows = read_csv(out / "trace.csv")
         incumbent = -np.inf
         for row in rows:
@@ -165,11 +167,15 @@ class TestCompare:
         assert sizes.count(65) == 1
 
     def test_level_zero_table_is_usage_error(self, tmp_path, capsys):
-        # at --dim 10 only the level-0 lattice (2^10 points) fits the cap
+        # at --dim 10 only the level-0 lattice (2^10 points) fits the cap;
+        # the message names level 1's 3^10 points and the cap
         code = run_cli("compare", "--objective", "gp-sample", "--dim", "10",
                        "--seeds", "1", "--out", str(tmp_path / "c"))
         assert code == 2
-        assert "table level" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "table level" in err
+        assert "got 0" in err
+        assert "59049 points" in err and "20000-point" in err
 
     def test_unknown_strategy_is_usage_error(self, tmp_path):
         assert run_cli("compare", "--strategies", "sgd",
@@ -270,6 +276,14 @@ class TestVerify:
             assert code == 0, seeds
             rows = read_csv(out / "envelope" / "envelope.csv")
             assert [int(r["seed"]) for r in rows] == list(expected)
+
+    def test_envelope_level_zero_table_is_usage_error(self, tmp_path, capsys):
+        code = run_cli("verify", "envelope", "--dim", "10",
+                       "--out", str(tmp_path / "e"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "table level" in err and "got 0" in err
+        assert "59049 points" in err and "20000-point" in err
 
     def test_unknown_target_is_usage_error(self, tmp_path):
         assert run_cli("verify", "entropy", "--out", str(tmp_path)) == 2

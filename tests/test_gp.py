@@ -23,7 +23,7 @@ def spec_se(dim=1, ls=1.0, scale=1.0):
 
 def bounds(post, x, beta):
     """Confidence bounds (mu - sqrt(beta) sigma, mu + sqrt(beta) sigma) at x."""
-    mu, sigma = post.predict(x)
+    (mu,), (sigma,) = post.predict_batch(np.atleast_2d(x))
     return mu - math.sqrt(beta) * sigma, mu + math.sqrt(beta) * sigma
 
 
@@ -54,7 +54,7 @@ class TestFit:
     def test_empty_returns_prior(self):
         spec = spec_se(scale=2.25)
         post = fit(spec, ObservationSet.empty(1))
-        mu, sigma = post.predict([0.3])
+        (mu,), (sigma,) = post.predict_batch(np.atleast_2d([0.3]))
         assert mu == 0.0
         assert sigma == 1.5  # sqrt of the prior variance
 
@@ -71,7 +71,7 @@ class TestFit:
         jitter = 1e-10
         post = fit(spec, ObservationSet(pts, vals), jitter)
         for x in ([0.45], [0.1], [0.9]):
-            mu, sigma = post.predict(x)
+            (mu,), (sigma,) = post.predict_batch(np.atleast_2d(x))
             mu_o, sigma_o = two_obs_oracle(spec, pts, vals, np.asarray(x), jitter)
             assert mu == pytest.approx(mu_o, abs=1e-10)
             assert sigma == pytest.approx(sigma_o, abs=1e-10)
@@ -110,7 +110,7 @@ class TestPredict:
         pts = np.array([[0.2], [0.8]])
         vals = np.array([1.5, -0.5])
         post = fit(spec, ObservationSet(pts, vals), jitter=0.0)
-        mu, sigma = post.predict([0.2])
+        (mu,), (sigma,) = post.predict_batch(np.atleast_2d([0.2]))
         assert mu == pytest.approx(1.5, abs=1e-9)
         assert sigma <= 1e-6
 
@@ -155,7 +155,7 @@ class TestConfidenceBounds:
         spec = spec_se()
         post = fit(spec, ObservationSet(np.array([[0.3]]), np.array([0.7])))
         x = [0.6]
-        mu, _ = post.predict(x)
+        (mu,), _ = post.predict_batch(np.atleast_2d(x))
         assert bounds(post, x, 0.0) == (mu, mu)
 
     def test_observed_point_bound_equals_value(self):
@@ -167,7 +167,7 @@ class TestConfidenceBounds:
         assert bounds(post, [0.2], 25.0)[1] == pytest.approx(1.5, abs=1e-5)
 
     def test_surrogate_arithmetic(self):
-        # one observation engineered so predict(x) = (0.2, 0.1); then
+        # one observation engineered so (mu, sigma) = (0.2, 0.1) at x; then
         # beta = 4 gives ucb = 0.4 and lcb = 0.0
         spec = spec_se()
         x1 = 0.0
@@ -175,7 +175,7 @@ class TestConfidenceBounds:
         x = math.sqrt(-2.0 * math.log(kval))
         f1 = 0.2 / kval
         post = fit(spec, ObservationSet(np.array([[x1]]), np.array([f1])), jitter=0.0)
-        mu, sigma = post.predict([x])
+        (mu,), (sigma,) = post.predict_batch(np.atleast_2d([x]))
         assert mu == pytest.approx(0.2, abs=1e-12)
         assert sigma == pytest.approx(0.1, abs=1e-9)
         lcb, ucb = bounds(post, [x], 4.0)
@@ -202,16 +202,16 @@ class TestExtend:
         batch = fit(spec, ObservationSet(np.array([[0.4]]), np.array([2.0])),
                     empty.jitter)
         for x in ([0.1], [0.4], [0.9]):
-            assert extended.predict(x)[0] == pytest.approx(batch.predict(x)[0],
-                                                           abs=1e-12)
-            assert extended.predict(x)[1] == pytest.approx(batch.predict(x)[1],
-                                                           abs=1e-12)
+            mu_e, sigma_e = extended.predict_batch(np.atleast_2d(x))
+            mu_b, sigma_b = batch.predict_batch(np.atleast_2d(x))
+            assert mu_e == pytest.approx(mu_b, abs=1e-12)
+            assert sigma_e == pytest.approx(sigma_b, abs=1e-12)
 
     def test_extend_then_predict_interpolates(self):
         spec = spec_se(ls=0.5)
         post = fit(spec, ObservationSet(np.array([[0.1]]), np.array([0.3])))
         post = post.extend([[0.7]], [-1.2])
-        mu, sigma = post.predict([0.7])
+        (mu,), (sigma,) = post.predict_batch(np.atleast_2d([0.7]))
         assert mu == pytest.approx(-1.2, abs=1e-8)
         assert sigma <= 1e-4
 
