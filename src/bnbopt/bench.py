@@ -63,8 +63,7 @@ class TablePrior:
     index: dict
 
 
-def table_prior(spec: KernelSpec, grid: DyadicGrid, level: int,
-                jitter: float | None = None) -> TablePrior:
+def table_prior(spec: KernelSpec, grid: DyadicGrid, level: int) -> TablePrior:
     """Factor the prior over `grid`'s level-`level` lattice once, for many seeds."""
     if not 1 <= level <= grid.max_level:
         coarsest = grid.num_points(1)
@@ -81,7 +80,7 @@ def table_prior(spec: KernelSpec, grid: DyadicGrid, level: int,
             f"{ENUMERATION_CAP} cap"
         )
     pts = table.points(level)
-    post = gp.fit(spec, gp.ObservationSet(pts, np.zeros(len(pts))), jitter)
+    post = gp.fit(spec, pts, np.zeros(len(pts)))
     return TablePrior(table, post, dict(zip(point_keys(pts), range(len(pts)))))
 
 
@@ -93,7 +92,7 @@ def gp_sample_objective(prior: TablePrior, seed: int) -> Objective:
     is the table argmax. Seeds that share a lattice share one `table_prior`,
     so each seed costs one draw.
     """
-    pts = prior.post.obs.points
+    pts = prior.post.points
     vals = gp.prior_draw(prior.post, seed)
 
     def evaluate(x: np.ndarray) -> float:
@@ -171,7 +170,7 @@ def plain_ucb_run(objective, spec: KernelSpec, grid: DyadicGrid,
     pts = grid.points(level)
     lattice_size = grid.num_points(grid.max_level)
     # the empty fit validates the starting jitter
-    jitter = gp.fit(spec, gp.ObservationSet.empty(grid.dim), config.jitter).jitter
+    jitter = gp.fit(spec, np.zeros((0, grid.dim)), np.zeros(0), config.jitter).jitter
     steps = min(config.max_evaluations, len(pts))
     chol = np.zeros((steps, steps))
     kx = np.zeros((steps, len(pts)))
@@ -183,7 +182,7 @@ def plain_ucb_run(objective, spec: KernelSpec, grid: DyadicGrid,
     var = np.full(len(pts), spec.output_scale)
     available = np.ones(len(pts), dtype=bool)
     for n in range(steps):
-        root = math.sqrt(max(beta(n + 1, lattice_size, config.alpha), 0.0))
+        root = math.sqrt(beta(n + 1, lattice_size, config.alpha))
         score = np.where(available, mus + root * np.sqrt(np.clip(var, 0.0, None)),
                          -np.inf)
         pick = int(np.argmax(score))
@@ -203,8 +202,7 @@ def plain_ucb_run(objective, spec: KernelSpec, grid: DyadicGrid,
             mus += a[n] * v[n]
             var -= v[n] ** 2
         else:  # refit with escalation; the factor and all it carries change
-            post = gp.fit(spec, gp.ObservationSet(pts[picks[: n + 1]],
-                                                  values[: n + 1]), jitter)
+            post = gp.fit(spec, pts[picks[: n + 1]], values[: n + 1], jitter)
             jitter = post.jitter
             chol[: n + 1, : n + 1] = post.chol
             v[: n + 1] = solve_triangular(post.chol, kx[: n + 1], lower=True,
@@ -308,8 +306,8 @@ class VarianceScaling:
                                self.jitters[keep])
 
 
-def variance_bound_experiment(spec: KernelSpec, lower, upper, levels,
-                              jitter: float | None = None) -> VarianceScaling:
+def variance_bound_experiment(spec: KernelSpec, lower, upper,
+                              levels) -> VarianceScaling:
     """Fit full-domain covers level by level; record the worst deviation.
 
     Deviations are probed on a lattice PROBE_REFINE levels finer than each
@@ -337,7 +335,7 @@ def variance_bound_experiment(spec: KernelSpec, lower, upper, levels,
         pts = grid.points(lev)
         try:
             # deviations depend only on the points; values are irrelevant
-            post = gp.fit(spec, gp.ObservationSet(pts, np.zeros(len(pts))), jitter)
+            post = gp.fit(spec, pts, np.zeros(len(pts)))
         except IllConditionedError:
             break
         probes = grid.points(lev + PROBE_REFINE)
@@ -385,7 +383,7 @@ class _EnvelopeAudit:
         record = event.record
         f = self.objective.batch(event.candidates)
         resid = np.abs(f - event.mus)
-        env = math.sqrt(max(record.beta_T, 0.0)) * event.sigmas
+        env = math.sqrt(record.beta_T) * event.sigmas
         # where the envelope is zero only exact interpolation passes
         ratio = np.where(resid <= self._INTERP_TOL, 0.0, np.inf)
         np.divide(resid, env, out=ratio, where=env > 0.0)
@@ -399,7 +397,6 @@ class _EnvelopeAudit:
 
 def envelope_experiment(spec: KernelSpec, grid: DyadicGrid, level: int,
                         alpha: float, n_seeds: int, budget: int = 200,
-                        jitter: float | None = None,
                         first_seed: int = 0) -> EnvelopeReport:
     """Draw prior-sample objectives, run the optimizer and audit the envelope.
 
@@ -414,12 +411,11 @@ def envelope_experiment(spec: KernelSpec, grid: DyadicGrid, level: int,
     ratios = np.zeros(n_seeds)
     kept_ok = np.zeros(n_seeds, dtype=bool)
     seeds = tuple(range(first_seed, first_seed + n_seeds))
-    prior = table_prior(spec, grid, level, jitter)
+    prior = table_prior(spec, grid, level)
     for i, seed in enumerate(seeds):
         objective = gp_sample_objective(prior, seed)
         audit = _EnvelopeAudit(objective, prior.grid)
-        config = RunConfig(alpha=alpha, max_evaluations=budget, jitter=jitter,
-                           seed=seed)
+        config = RunConfig(alpha=alpha, max_evaluations=budget, seed=seed)
         run(objective, spec, prior.grid, config, observer=audit)
         ratios[i] = audit.max_ratio
         kept_ok[i] = audit.retained

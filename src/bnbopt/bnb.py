@@ -19,7 +19,9 @@ from .lattice import DyadicGrid, RegionBall, point_keys
 class RunConfig:
     """Knobs for a single optimizer run.
 
-    ``max_level=None`` keeps the grid's own refinement cap.
+    ``max_level=None`` keeps the grid's own refinement cap. ``seed`` is read
+    only by `bench.random_run`; `run` and `bench.plain_ucb_run` are
+    deterministic.
     """
 
     alpha: float = 0.05
@@ -153,18 +155,19 @@ def densify(post: gp.GPPosterior, region: RegionBall, grid: DyadicGrid,
 
     The cover comes from the lattice, not from the posterior, so all of it is
     evaluated first and then appended to the posterior in one block.
-    Returns ``(post, new, truncated)``: the extended posterior, the list of
-    (point, value) pairs added, and whether ``max_new`` stopped the pass with
-    an unseen cover point left. Idempotent at a fixed level and region.
+    Returns ``(post, truncated)``: the extended posterior, whose points and
+    values past the old length are the ones added, and whether ``max_new``
+    stopped the pass with an unseen cover point left. Idempotent at a fixed
+    level and region.
     """
     cover = grid.cover_points(region)
-    seen = set(point_keys(post.obs.points))
+    seen = set(point_keys(post.points))
     block = cover[np.array([key not in seen for key in point_keys(cover)], dtype=bool)]
     truncated = max_new is not None and block.shape[0] > max_new
     if truncated:
         block = block[:max_new]
     values = [float(objective(p)) for p in block]
-    return post.extend(block, values), list(zip(block, values)), truncated
+    return post.extend(block, values), truncated
 
 
 def shrink(post: gp.GPPosterior, beta_value: float, candidates):
@@ -217,7 +220,7 @@ def run(objective, spec: KernelSpec, grid: DyadicGrid, config: RunConfig,
     if config.max_level is not None and config.max_level != grid.max_level:
         grid = replace(grid, max_level=config.max_level)
     lattice_size = grid.num_points(grid.max_level)
-    post = gp.fit(spec, gp.ObservationSet.empty(grid.dim), config.jitter)
+    post = gp.fit(spec, np.zeros((0, grid.dim)), np.zeros(0), config.jitter)
     region = initial_region(grid)
     iterations: list[IterationRecord] = []
     truncated = False
@@ -229,8 +232,9 @@ def run(objective, spec: KernelSpec, grid: DyadicGrid, config: RunConfig,
         except ResolutionExhausted:
             break
         iteration += 1
-        post, new, truncated = densify(
-            post, region, grid, objective, config.max_evaluations - len(post)
+        before = len(post)
+        post, truncated = densify(
+            post, region, grid, objective, config.max_evaluations - before
         )
         if truncated:
             break
@@ -252,7 +256,7 @@ def run(objective, spec: KernelSpec, grid: DyadicGrid, config: RunConfig,
             iteration=iteration,
             level=grid.level,
             delta=grid.delta(),
-            new_points_count=len(new),
+            new_points_count=T - before,
             T_after=T,
             beta_T=beta_T,
             sup_lcb=sup_lcb,
@@ -270,10 +274,10 @@ def run(objective, spec: KernelSpec, grid: DyadicGrid, config: RunConfig,
             key = tuple(region.center.tolist())
             if (
                 len(post) < config.max_evaluations
-                and key not in set(point_keys(post.obs.points))
+                and key not in set(point_keys(post.points))
             ):
                 fx = float(objective(region.center))
                 post = post.extend(region.center[None, :], [fx])
             break
 
-    return RunTrace(post.obs.points, post.obs.values, iterations, truncated)
+    return RunTrace(post.points, post.values, iterations, truncated)

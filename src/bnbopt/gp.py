@@ -17,50 +17,6 @@ JITTER_CAP_FACTOR = 1e-6
 DUPLICATE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class ObservationSet:
-    """Observed (point, value) pairs; duplicate points are rejected."""
-
-    points: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        vals = np.asarray(self.values, dtype=float)
-        if pts.ndim != 2:
-            raise ValueError("points must be a 2-d array of shape (n, dim)")
-        if vals.shape != (pts.shape[0],):
-            raise ValueError("points and values must have matching lengths")
-        if pts.shape[0] > 1 and np.unique(pts, axis=0).shape[0] != pts.shape[0]:
-            raise DuplicateObservationError(
-                "observation points must be pairwise distinct"
-            )
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def empty(cls, dim: int) -> "ObservationSet":
-        return cls(np.zeros((0, dim)), np.zeros(0))
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-    def _append(self, points: np.ndarray, values) -> "ObservationSet":
-        """This set plus points the caller has already shown to be new and distinct.
-
-        Skips the whole-set distinctness check, which `GPPosterior.extend`'s
-        distance checks make redundant.
-        """
-        pts = np.vstack([self.points, points])
-        vals = np.append(self.values, np.asarray(values, dtype=float))
-        if vals.shape != (pts.shape[0],):
-            raise ValueError("points and values must have matching lengths")
-        out = object.__new__(ObservationSet)
-        object.__setattr__(out, "points", pts)
-        object.__setattr__(out, "values", vals)
-        return out
-
-
 def _factor(K: np.ndarray, jitter: float, scale: float, points: np.ndarray):
     """Cholesky of K + jitter*I, escalating jitter tenfold up to the cap.
 
@@ -92,19 +48,22 @@ def _factor(K: np.ndarray, jitter: float, scale: float, points: np.ndarray):
 class GPPosterior:
     """Posterior after exact observations of a zero-mean GP.
 
-    ``chol`` is the lower-triangular factor of K + jitter*I, with K the Gram
-    matrix of the points, and ``weights`` solves (K + jitter*I) w = values.
-    Instances are immutable; :meth:`extend` returns a new posterior.
+    ``points`` (n, dim) and ``values`` (n,) are the observations in the
+    order they were made. ``chol`` is the lower-triangular factor of
+    K + jitter*I, with K the Gram matrix of the points, and ``weights``
+    solves (K + jitter*I) w = values. Instances are immutable;
+    :meth:`extend` returns a new posterior.
     """
 
     spec: kernels.KernelSpec
-    obs: ObservationSet
+    points: np.ndarray
+    values: np.ndarray
     jitter: float
     chol: np.ndarray
     weights: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.obs)
+        return self.points.shape[0]
 
     def predict_batch(self, xs) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized posterior mean/deviation over an (m, dim) array."""
@@ -112,7 +71,7 @@ class GPPosterior:
         m = x.shape[0]
         if len(self) == 0:
             return np.zeros(m), np.full(m, math.sqrt(self.spec.output_scale))
-        kx = kernels.pairwise(self.spec, self.obs.points, x)
+        kx = kernels.pairwise(self.spec, self.points, x)
         mus = kx.T @ self.weights
         v = solve_triangular(self.chol, kx, lower=True, check_finite=False)
         var = self.spec.output_scale - np.einsum("ij,ij->j", v, v)
@@ -132,20 +91,23 @@ class GPPosterior:
         """
         block = kernels.as_points(self.spec, points)
         n, m = len(self), block.shape[0]
-        _check_new(self.obs.points, block)
-        new_obs = self.obs._append(block, values)
+        _check_new(self.points, block)
+        pts = np.vstack([self.points, block])
+        vals = np.append(self.values, np.asarray(values, dtype=float))
+        if vals.shape != (n + m,):
+            raise ValueError("points and values must have matching lengths")
         # K(X, B) over K(B, B): every entry is computed on its own, so one
         # kernel block gives the bits of two
-        kb = kernels.pairwise(self.spec, new_obs.points, block)
+        kb = kernels.pairwise(self.spec, pts, block)
         c, corner = _schur_step(self.chol, kb[:n], kb[n:], self.jitter)
         if corner is None:
-            return fit(self.spec, new_obs, self.jitter)
+            return fit(self.spec, pts, vals, self.jitter)
         chol = np.zeros((n + m, n + m))
         chol[:n, :n] = self.chol
         chol[n:, :n] = c.T
         chol[n:, n:] = corner
-        weights = cho_solve((chol, True), new_obs.values, check_finite=False)
-        return GPPosterior(self.spec, new_obs, self.jitter, chol, weights)
+        weights = cho_solve((chol, True), vals, check_finite=False)
+        return GPPosterior(self.spec, pts, vals, self.jitter, chol, weights)
 
 
 def _check_new(observed: np.ndarray, block: np.ndarray) -> None:
@@ -179,32 +141,41 @@ def _schur_step(chol: np.ndarray, k: np.ndarray, kbb: np.ndarray,
         return c, None
 
 
-def fit(spec: kernels.KernelSpec, obs: ObservationSet,
+def fit(spec: kernels.KernelSpec, points, values,
         jitter: float | None = None) -> GPPosterior:
     """Factor the jittered Gram matrix and solve for the mean weights.
 
-    ``jitter=None`` uses 1e-10 * output_scale; a failed factorization
-    escalates the jitter tenfold up to 1e-6 * output_scale before raising
-    :class:`IllConditionedError`.
+    ``points`` is (n, dim) with one value each; exact duplicate points raise
+    :class:`DuplicateObservationError`. ``jitter=None`` uses
+    1e-10 * output_scale; a failed factorization escalates the jitter tenfold
+    up to 1e-6 * output_scale before raising :class:`IllConditionedError`.
     """
     if jitter is None:
         jitter = DEFAULT_JITTER_FACTOR * spec.output_scale
     if jitter < 0.0:
         raise ValueError("jitter must be nonnegative")
-    pts = kernels.as_points(spec, obs.points)
-    if len(obs) == 0:
-        return GPPosterior(spec, obs, float(jitter), np.zeros((0, 0)), np.zeros(0))
+    pts = kernels.as_points(spec, points)
+    vals = np.asarray(values, dtype=float)
+    if vals.shape != (pts.shape[0],):
+        raise ValueError("points and values must have matching lengths")
+    if pts.shape[0] > 1 and np.unique(pts, axis=0).shape[0] != pts.shape[0]:
+        raise DuplicateObservationError(
+            "observation points must be pairwise distinct"
+        )
+    if pts.shape[0] == 0:
+        return GPPosterior(spec, pts, vals, float(jitter), np.zeros((0, 0)),
+                           np.zeros(0))
     K = kernels.pairwise(spec, pts, pts)
     chol, used = _factor(K, jitter, spec.output_scale, pts)
-    weights = cho_solve((chol, True), obs.values, check_finite=False)
-    return GPPosterior(spec, obs, used, chol, weights)
+    weights = cho_solve((chol, True), vals, check_finite=False)
+    return GPPosterior(spec, pts, vals, used, chol, weights)
 
 
 def sample_prior_on_grid(spec: kernels.KernelSpec, grid_points, seed: int,
                          jitter: float | None = None) -> np.ndarray:
     """One zero-mean prior draw at the given points, deterministic per seed."""
     pts = kernels.as_points(spec, grid_points)
-    prior = fit(spec, ObservationSet(pts, np.zeros(pts.shape[0])), jitter)
+    prior = fit(spec, pts, np.zeros(pts.shape[0]), jitter)
     return prior_draw(prior, seed)
 
 

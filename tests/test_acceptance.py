@@ -23,7 +23,7 @@ from bnbopt.bench import (
 )
 from bnbopt.bnb import RunConfig, beta, run
 from bnbopt.errors import InsufficientDataError
-from bnbopt.gp import ObservationSet, fit
+from bnbopt.gp import fit
 from bnbopt.kernels import KernelSpec, evaluate, smoothness_constant
 from bnbopt.lattice import DyadicGrid
 
@@ -128,7 +128,7 @@ def test_criterion_2_posterior_exactness():
                                     lengthscale)
         pts = _separated(rng, n, dim, sep)
         vals = rng.normal(size=n)
-        post = fit(spec, ObservationSet(pts, vals), jitter)
+        post = fit(spec, pts, vals, jitter)
         # dense direct-solve oracle, built entrywise
         K = np.array([[evaluate(spec, a, b) for b in pts] for a in pts])
         A = K + post.jitter * np.eye(n)

@@ -22,7 +22,7 @@ from bnbopt.bench import (
 from bnbopt import bench, bnb, gp, kernels
 from bnbopt.bnb import RunConfig, RunTrace, beta
 from bnbopt.errors import GridTooLargeError, InsufficientDataError
-from bnbopt.gp import ObservationSet, fit, sample_prior_on_grid
+from bnbopt.gp import fit, sample_prior_on_grid
 from bnbopt.kernels import KernelSpec
 from bnbopt.lattice import DyadicGrid, point_keys
 
@@ -127,7 +127,7 @@ class TestTablePrior:
         assert (prior.grid.level, prior.grid.max_level) == (0, 5)
         assert np.array_equal(prior.grid.lower, grid.lower)
         assert np.array_equal(prior.grid.upper, grid.upper)
-        assert np.array_equal(prior.post.obs.points, grid.points(5))
+        assert np.array_equal(prior.post.points, grid.points(5))
         assert list(prior.index) == list(point_keys(grid.points(5)))
         obj = gp_sample_objective(prior, seed=0)
         assert np.array_equal(obj.lower, grid.lower)
@@ -229,7 +229,7 @@ def reference_ucb_run(objective, spec, grid, config):
     every step, then a one-row extend. The incremental baseline must match it."""
     pts = grid.points(enumeration_level(grid))
     lattice_size = grid.num_points(grid.max_level)
-    post = fit(spec, ObservationSet.empty(grid.dim), config.jitter)
+    post = fit(spec, np.zeros((0, grid.dim)), np.zeros(0), config.jitter)
     available = np.ones(len(pts), dtype=bool)
     points, values = [], []
     for t in range(1, min(config.max_evaluations, len(pts)) + 1):
@@ -249,9 +249,9 @@ def counting_fits(monkeypatch):
     sizes = []
     original_fit = gp.fit
 
-    def counted(spec, obs, jitter=None):
-        sizes.append(len(obs))
-        return original_fit(spec, obs, jitter)
+    def counted(spec, points, values, jitter=None):
+        sizes.append(len(points))
+        return original_fit(spec, points, values, jitter)
 
     monkeypatch.setattr(gp, "fit", counted)
     return sizes

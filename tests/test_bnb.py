@@ -16,7 +16,7 @@ from bnbopt.bnb import (
     run,
     shrink,
 )
-from bnbopt.gp import GPPosterior, ObservationSet, fit
+from bnbopt.gp import GPPosterior, fit
 from bnbopt.kernels import KernelSpec
 from bnbopt.lattice import DyadicGrid
 
@@ -67,7 +67,7 @@ class TestBeta:
 class TestShrink:
     def _observed_posterior(self, points, values):
         spec = spec_se(dim=points.shape[1], ls=0.5)
-        return fit(spec, ObservationSet(points, values), jitter=1e-12)
+        return fit(spec, points, values, jitter=1e-12)
 
     def test_all_observed_distinct_values_keep_argmax_only(self):
         pts = np.array([[0.0], [0.5], [1.0]])
@@ -90,7 +90,7 @@ class TestShrink:
         # an empty posterior scores every candidate identically, so the
         # non-strict rule keeps the whole pair
         pts = np.array([[0.0, 0.0], [2.0, 0.0]])
-        post = fit(KernelSpec.isotropic("se", 2, 1.0), ObservationSet.empty(2))
+        post = fit(KernelSpec.isotropic("se", 2, 1.0), np.zeros((0, 2)), np.zeros(0))
         kept, region, _, _, _ = shrink(post, 4.0, pts)
         assert kept.shape[0] == 2
         assert np.array_equal(region.center, np.array([1.0, 0.0]))
@@ -106,12 +106,12 @@ class TestShrink:
         assert sigmas.tobytes() == ref_sigmas.tobytes()
 
     def test_empty_candidates_rejected(self):
-        post = fit(spec_se(), ObservationSet.empty(1))
+        post = fit(spec_se(), np.zeros((0, 1)), np.zeros(0))
         with pytest.raises(ValueError):
             shrink(post, 1.0, np.zeros((0, 1)))
 
     def test_negative_beta_rejected(self):
-        post = fit(spec_se(), ObservationSet.empty(1))
+        post = fit(spec_se(), np.zeros((0, 1)), np.zeros(0))
         with pytest.raises(ValueError):
             shrink(post, -1.0, np.array([[0.5]]))
 
@@ -120,56 +120,58 @@ class TestDensify:
     def test_first_call_evaluates_full_cover_in_order(self):
         spec = spec_se()
         grid = unit_grid().refine()  # level 1
-        post = fit(spec, ObservationSet.empty(1))
+        post = fit(spec, np.zeros((0, 1)), np.zeros(0))
         seen = []
 
         def objective(x):
             seen.append(float(x[0]))
             return 0.0
 
-        post, new, truncated = densify(post, initial_region(grid), grid, objective)
+        post, truncated = densify(post, initial_region(grid), grid, objective)
         assert seen == [0.0, 0.5, 1.0]  # lexicographic order
-        assert [v for _, v in new] == [0.0, 0.0, 0.0]
+        assert post.points[:, 0].tolist() == [0.0, 0.5, 1.0]
+        assert post.values.tolist() == [0.0, 0.0, 0.0]
         assert not truncated
 
     def test_idempotent_at_fixed_level_and_region(self):
         spec = spec_se()
         grid = unit_grid().refine()
         region = initial_region(grid)
-        post = fit(spec, ObservationSet.empty(1))
-        post, first, _ = densify(post, region, grid, lambda x: float(x[0]))
+        post = fit(spec, np.zeros((0, 1)), np.zeros(0))
+        first, _ = densify(post, region, grid, lambda x: float(x[0]))
         assert len(first) == 3
-        post, second, truncated = densify(post, region, grid, lambda x: float(x[0]))
-        assert second == []
+        second, truncated = densify(first, region, grid, lambda x: float(x[0]))
+        assert np.array_equal(second.points, first.points)
+        assert np.array_equal(second.values, first.values)
         assert not truncated
 
     def test_max_new_caps_evaluations(self):
         spec = spec_se()
         grid = unit_grid().refine()
-        post = fit(spec, ObservationSet.empty(1))
-        post, new, truncated = densify(post, initial_region(grid), grid,
-                                       lambda x: float(x[0]), max_new=2)
-        assert len(new) == 2
+        post = fit(spec, np.zeros((0, 1)), np.zeros(0))
+        post, truncated = densify(post, initial_region(grid), grid,
+                                  lambda x: float(x[0]), max_new=2)
+        assert len(post) == 2
         assert truncated
 
     def test_truncated_only_when_unseen_point_left_at_cap(self):
         spec = spec_se()
         grid = unit_grid().refine()  # cover of the whole domain: 3 points
         region = initial_region(grid)
-        empty = fit(spec, ObservationSet.empty(1))
+        empty = fit(spec, np.zeros((0, 1)), np.zeros(0))
         # a cap equal to the unseen count evaluates them all: not truncated
-        post, new, truncated = densify(empty, region, grid,
-                                       lambda x: float(x[0]), max_new=3)
-        assert len(new) == 3 and not truncated
+        post, truncated = densify(empty, region, grid,
+                                  lambda x: float(x[0]), max_new=3)
+        assert len(post) == 3 and not truncated
         # a cap of zero with nothing left unseen stops nothing
-        _, new, truncated = densify(post, region, grid,
-                                    lambda x: float(x[0]), max_new=0)
-        assert new == [] and not truncated
+        same, truncated = densify(post, region, grid,
+                                  lambda x: float(x[0]), max_new=0)
+        assert len(same) == 3 and not truncated
         # one point seen, cap of one: the third cover point is left unseen
-        seeded = fit(spec, ObservationSet(np.array([[0.5]]), np.array([0.5])))
-        _, new, truncated = densify(seeded, region, grid,
-                                    lambda x: float(x[0]), max_new=1)
-        assert [p[0] for p, _ in new] == [0.0]
+        seeded = fit(spec, np.array([[0.5]]), np.array([0.5]))
+        post, truncated = densify(seeded, region, grid,
+                                  lambda x: float(x[0]), max_new=1)
+        assert post.points[1:, 0].tolist() == [0.0]
         assert truncated
 
     @staticmethod
@@ -192,21 +194,22 @@ class TestDensify:
     def test_whole_cover_evaluated_then_appended_once(self, monkeypatch):
         events, objective = self._record_calls(monkeypatch)
         grid = unit_grid().refine().refine()  # level 2: 5 cover points
-        seeded = fit(spec_se(), ObservationSet(np.array([[0.5]]), np.array([0.25])))
-        post, new, truncated = densify(seeded, initial_region(grid), grid,
-                                       objective)
+        seeded = fit(spec_se(), np.array([[0.5]]), np.array([0.25]))
+        post, truncated = densify(seeded, initial_region(grid), grid, objective)
         assert [e[0] for e in events] == ["objective"] * 4 + ["extend"]
         _, block, values = events[-1]
         assert block[:, 0].tolist() == [0.0, 0.25, 0.75, 1.0]
         assert values == [0.0, 0.0625, 0.5625, 1.0]
-        assert len(post) == 5 and len(new) == 4 and not truncated
+        assert len(post) == 5 and not truncated
+        assert post.points[1:, 0].tolist() == block[:, 0].tolist()
+        assert post.values[1:].tolist() == values
 
     def test_truncated_pass_appends_the_evaluated_prefix(self, monkeypatch):
         events, objective = self._record_calls(monkeypatch)
         grid = unit_grid().refine().refine()
-        seeded = fit(spec_se(), ObservationSet(np.array([[0.25]]), np.array([0.0625])))
-        post, new, truncated = densify(seeded, initial_region(grid), grid,
-                                       objective, max_new=2)
+        seeded = fit(spec_se(), np.array([[0.25]]), np.array([0.0625]))
+        post, truncated = densify(seeded, initial_region(grid), grid,
+                                  objective, max_new=2)
         assert truncated
         assert [e[0] for e in events] == ["objective"] * 2 + ["extend"]
         evaluated = [e[1] for e in events[:-1]]
@@ -214,8 +217,8 @@ class TestDensify:
         assert evaluated == [0.0, 0.5]  # lattice order, seen point skipped
         assert block[:, 0].tolist() == evaluated
         assert values == [0.0, 0.25]
-        assert [p[0] for p, _ in new] == evaluated
-        assert post.obs.points[1:, 0].tolist() == evaluated
+        assert post.points[1:, 0].tolist() == evaluated
+        assert post.values[1:].tolist() == values
 
 
 def constant_objective(c, dim=1):

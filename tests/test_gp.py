@@ -8,7 +8,6 @@ from scipy.linalg import cho_solve
 
 from bnbopt.errors import DuplicateObservationError, IllConditionedError
 from bnbopt.gp import (
-    ObservationSet,
     _factor,
     _schur_step,
     fit,
@@ -40,20 +39,18 @@ def two_obs_oracle(spec, pts, vals, x, jitter):
     return float(mu), math.sqrt(max(0.0, var))
 
 
-class TestObservationSet:
+class TestFit:
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            ObservationSet(np.zeros((2, 1)), np.zeros(3))
+        with pytest.raises(ValueError, match="matching lengths"):
+            fit(spec_se(), np.zeros((2, 1)), np.zeros(3))
 
     def test_exact_duplicates_rejected(self):
         with pytest.raises(DuplicateObservationError):
-            ObservationSet(np.array([[0.5], [0.5]]), np.array([1.0, 2.0]))
+            fit(spec_se(), np.array([[0.5], [0.5]]), np.array([1.0, 2.0]))
 
-
-class TestFit:
     def test_empty_returns_prior(self):
         spec = spec_se(scale=2.25)
-        post = fit(spec, ObservationSet.empty(1))
+        post = fit(spec, np.zeros((0, 1)), np.zeros(0))
         (mu,), (sigma,) = post.predict_batch(np.atleast_2d([0.3]))
         assert mu == 0.0
         assert sigma == 1.5  # sqrt of the prior variance
@@ -61,7 +58,7 @@ class TestFit:
     def test_single_observation_weights(self):
         spec = spec_se(scale=1.0)
         jitter = 1e-8
-        post = fit(spec, ObservationSet(np.array([[0.4]]), np.array([2.0])), jitter)
+        post = fit(spec, np.array([[0.4]]), np.array([2.0]), jitter)
         assert post.weights[0] == pytest.approx(2.0 / (1.0 + jitter), rel=1e-12)
 
     def test_two_observations_match_closed_form(self):
@@ -69,7 +66,7 @@ class TestFit:
         pts = np.array([[0.2], [0.7]])
         vals = np.array([1.0, -0.5])
         jitter = 1e-10
-        post = fit(spec, ObservationSet(pts, vals), jitter)
+        post = fit(spec, pts, vals, jitter)
         for x in ([0.45], [0.1], [0.9]):
             (mu,), (sigma,) = post.predict_batch(np.atleast_2d(x))
             mu_o, sigma_o = two_obs_oracle(spec, pts, vals, np.asarray(x), jitter)
@@ -80,7 +77,7 @@ class TestFit:
         rng = np.random.default_rng(2)
         spec = spec_se(dim=2, ls=0.4)
         pts = rng.uniform(0, 1, size=(12, 2))
-        post = fit(spec, ObservationSet(pts, rng.normal(size=12)))
+        post = fit(spec, pts, rng.normal(size=12))
         K = pairwise(spec, pts, pts) + post.jitter * np.eye(12)
         recon = post.chol @ post.chol.T
         assert np.max(np.abs(recon - K)) <= 1e-10 * np.max(np.abs(K))
@@ -89,8 +86,8 @@ class TestFit:
         # two points one nanometre apart produce bitwise-identical Gram rows;
         # a zero starting jitter must escalate rather than fail
         spec = spec_se()
-        obs = ObservationSet(np.array([[0.5], [0.5 + 1e-9]]), np.array([1.0, 1.0]))
-        post = fit(spec, obs, jitter=0.0)
+        post = fit(spec, np.array([[0.5], [0.5 + 1e-9]]), np.array([1.0, 1.0]),
+                   jitter=0.0)
         assert post.jitter > 0.0
 
     def test_ill_conditioned_error_reports_distance(self):
@@ -109,7 +106,7 @@ class TestPredict:
         spec = spec_se(ls=0.5)
         pts = np.array([[0.2], [0.8]])
         vals = np.array([1.5, -0.5])
-        post = fit(spec, ObservationSet(pts, vals), jitter=0.0)
+        post = fit(spec, pts, vals, jitter=0.0)
         (mu,), (sigma,) = post.predict_batch(np.atleast_2d([0.2]))
         assert mu == pytest.approx(1.5, abs=1e-9)
         assert sigma <= 1e-6
@@ -127,7 +124,7 @@ class TestPredict:
             )
             pts = _separated_points(rng, n, dim, sep)
             vals = rng.normal(size=len(pts))
-            post = fit(spec, ObservationSet(pts, vals), jitter=1e-10)
+            post = fit(spec, pts, vals, jitter=1e-10)
             mus, sigmas = post.predict_batch(pts)
             assert np.max(np.abs(mus - vals)) <= 1e-8
             assert np.max(sigmas) <= 1e-4
@@ -136,7 +133,7 @@ class TestPredict:
         rng = np.random.default_rng(6)
         spec = spec_se(dim=2, ls=0.3, scale=1.8)
         pts = rng.uniform(0, 1, size=(15, 2))
-        post = fit(spec, ObservationSet(pts, rng.normal(size=15)))
+        post = fit(spec, pts, rng.normal(size=15))
         probes = rng.uniform(0, 1, size=(50, 2))
         _, sigmas = post.predict_batch(probes)
         assert np.all(sigmas**2 <= spec.output_scale + 1e-10)
@@ -145,7 +142,7 @@ class TestPredict:
         rng = np.random.default_rng(8)
         spec = spec_se(ls=0.3)
         pts = rng.uniform(0, 1, size=(10, 1))
-        post = fit(spec, ObservationSet(pts, np.zeros(10)))
+        post = fit(spec, pts, np.zeros(10))
         mus, _ = post.predict_batch(rng.uniform(0, 1, size=(20, 1)))
         assert np.all(mus == 0.0)
 
@@ -153,7 +150,7 @@ class TestPredict:
 class TestConfidenceBounds:
     def test_beta_zero_collapses_to_mean(self):
         spec = spec_se()
-        post = fit(spec, ObservationSet(np.array([[0.3]]), np.array([0.7])))
+        post = fit(spec, np.array([[0.3]]), np.array([0.7]))
         x = [0.6]
         (mu,), _ = post.predict_batch(np.atleast_2d(x))
         assert bounds(post, x, 0.0) == (mu, mu)
@@ -161,7 +158,7 @@ class TestConfidenceBounds:
     def test_observed_point_bound_equals_value(self):
         spec = spec_se(ls=0.5)
         post = fit(
-            spec, ObservationSet(np.array([[0.2], [0.8]]), np.array([1.5, -0.5])),
+            spec, np.array([[0.2], [0.8]]), np.array([1.5, -0.5]),
             jitter=0.0,
         )
         assert bounds(post, [0.2], 25.0)[1] == pytest.approx(1.5, abs=1e-5)
@@ -174,7 +171,7 @@ class TestConfidenceBounds:
         kval = math.sqrt(0.99)
         x = math.sqrt(-2.0 * math.log(kval))
         f1 = 0.2 / kval
-        post = fit(spec, ObservationSet(np.array([[x1]]), np.array([f1])), jitter=0.0)
+        post = fit(spec, np.array([[x1]]), np.array([f1]), jitter=0.0)
         (mu,), (sigma,) = post.predict_batch(np.atleast_2d([x]))
         assert mu == pytest.approx(0.2, abs=1e-12)
         assert sigma == pytest.approx(0.1, abs=1e-9)
@@ -186,7 +183,7 @@ class TestConfidenceBounds:
         rng = np.random.default_rng(10)
         spec = spec_se(dim=2, ls=0.5)
         pts = rng.uniform(0, 1, size=(8, 2))
-        post = fit(spec, ObservationSet(pts, rng.normal(size=8)))
+        post = fit(spec, pts, rng.normal(size=8))
         for _ in range(100):
             x = rng.uniform(0, 1, size=2)
             b = rng.uniform(0, 30)
@@ -197,9 +194,9 @@ class TestConfidenceBounds:
 class TestExtend:
     def test_extend_empty_equals_single_fit(self):
         spec = spec_se(ls=0.5)
-        empty = fit(spec, ObservationSet.empty(1))
+        empty = fit(spec, np.zeros((0, 1)), np.zeros(0))
         extended = empty.extend([[0.4]], [2.0])
-        batch = fit(spec, ObservationSet(np.array([[0.4]]), np.array([2.0])),
+        batch = fit(spec, np.array([[0.4]]), np.array([2.0]),
                     empty.jitter)
         for x in ([0.1], [0.4], [0.9]):
             mu_e, sigma_e = extended.predict_batch(np.atleast_2d(x))
@@ -209,7 +206,7 @@ class TestExtend:
 
     def test_extend_then_predict_interpolates(self):
         spec = spec_se(ls=0.5)
-        post = fit(spec, ObservationSet(np.array([[0.1]]), np.array([0.3])))
+        post = fit(spec, np.array([[0.1]]), np.array([0.3]))
         post = post.extend([[0.7]], [-1.2])
         (mu,), (sigma,) = post.predict_batch(np.atleast_2d([0.7]))
         assert mu == pytest.approx(-1.2, abs=1e-8)
@@ -221,10 +218,10 @@ class TestExtend:
         pts = _separated_points(rng, 5, 2, 0.1)
         vals = rng.normal(size=5)
         jitter = 1e-10
-        post = fit(spec, ObservationSet.empty(2), jitter)
+        post = fit(spec, np.zeros((0, 2)), np.zeros(0), jitter)
         for p, v in zip(pts, vals):
             post = post.extend(p[None, :], [v])
-        batch = fit(spec, ObservationSet(pts, vals), jitter)
+        batch = fit(spec, pts, vals, jitter)
         probes = rng.uniform(0, 1, size=(20, 2))
         mu_i, sig_i = post.predict_batch(probes)
         mu_b, sig_b = batch.predict_batch(probes)
@@ -243,13 +240,13 @@ class TestExtend:
         vals = rng.normal(size=n)
         jitter = 1e-10
         head = n // 3  # a non-empty prior posterior, then one block
-        prior = fit(spec, ObservationSet(pts[:head], vals[:head]), jitter)
+        prior = fit(spec, pts[:head], vals[:head], jitter)
         block = prior.extend(pts[head:], vals[head:])
         sequential = prior
         for p, v in zip(pts[head:], vals[head:]):
             sequential = sequential.extend(p[None, :], [v])
-        batch = fit(spec, ObservationSet(pts, vals), jitter)
-        assert np.array_equal(block.obs.points, batch.obs.points)
+        batch = fit(spec, pts, vals, jitter)
+        assert np.array_equal(block.points, batch.points)
         assert block.jitter == sequential.jitter == batch.jitter == jitter
         probes = np.vstack([pts, rng.uniform(0, 1, size=(40, dim))])
         mu_b, sig_b = batch.predict_batch(probes)
@@ -260,20 +257,19 @@ class TestExtend:
 
     def test_empty_block_keeps_points_and_predictions(self):
         spec = spec_se(ls=0.5)
-        post = fit(spec, ObservationSet(np.array([[0.2], [0.7]]),
-                                        np.array([1.0, -0.5])))
+        post = fit(spec, np.array([[0.2], [0.7]]), np.array([1.0, -0.5]))
         same = post.extend(np.zeros((0, 1)), [])
-        assert np.array_equal(same.obs.points, post.obs.points)
-        assert np.array_equal(same.obs.values, post.obs.values)
+        assert np.array_equal(same.points, post.points)
+        assert np.array_equal(same.values, post.values)
         probes = np.linspace(0, 1, 11).reshape(-1, 1)
         for a, b in zip(same.predict_batch(probes), post.predict_batch(probes)):
             assert np.array_equal(a, b)
-        empty = fit(spec, ObservationSet.empty(1)).extend(np.zeros((0, 1)), [])
+        empty = fit(spec, np.zeros((0, 1)), np.zeros(0)).extend(np.zeros((0, 1)), [])
         assert len(empty) == 0
 
     def test_duplicate_rejected(self):
         spec = spec_se()
-        post = fit(spec, ObservationSet(np.array([[0.5]]), np.array([1.0])))
+        post = fit(spec, np.array([[0.5]]), np.array([1.0]))
         with pytest.raises(DuplicateObservationError):
             post.extend([[0.5]], [1.0])
         with pytest.raises(DuplicateObservationError):
@@ -283,11 +279,11 @@ class TestExtend:
             with pytest.raises(DuplicateObservationError):
                 post.extend([[0.1], [0.3], other], [1.0, 2.0, 3.0])
             with pytest.raises(DuplicateObservationError):
-                fit(spec, ObservationSet.empty(1)).extend([[0.1], other],
-                                                          [1.0, 2.0])
+                fit(spec, np.zeros((0, 1)), np.zeros(0)).extend(
+                    [[0.1], other], [1.0, 2.0])
 
     def test_value_count_mismatch_rejected(self):
-        post = fit(spec_se(), ObservationSet(np.array([[0.5]]), np.array([1.0])))
+        post = fit(spec_se(), np.array([[0.5]]), np.array([1.0]))
         with pytest.raises(ValueError, match="matching lengths"):
             post.extend([[0.1], [0.3]], [1.0])
         with pytest.raises(ValueError, match="matching lengths"):
@@ -298,14 +294,13 @@ class TestExtend:
         # at zero jitter a point one nanometre from an observed one gives a
         # bitwise-identical Gram row, so the Schur complement is singular
         spec = spec_se()
-        post = fit(spec, ObservationSet(np.array([[0.5], [0.9]]),
-                                        np.array([1.0, -1.0])), jitter=0.0)
+        post = fit(spec, np.array([[0.5], [0.9]]), np.array([1.0, -1.0]),
+                   jitter=0.0)
         assert post.jitter == 0.0
         vals = np.arange(1.0, len(block) + 1.0)
         extended = post.extend(block, vals)
-        refit = fit(spec, ObservationSet(np.vstack([post.obs.points, block]),
-                                         np.append(post.obs.values, vals)),
-                    jitter=0.0)
+        refit = fit(spec, np.vstack([post.points, block]),
+                    np.append(post.values, vals), jitter=0.0)
         assert refit.jitter > 0.0
         assert extended.jitter == refit.jitter
         assert np.array_equal(extended.chol, refit.chol)
@@ -323,12 +318,12 @@ class TestExtend:
         spec = KernelSpec(family, 1.3, tuple(rng.uniform(0.2, 0.8, dim)), dim)
         pts = _separated_points(rng, 24, dim, 0.02 if dim == 1 else 0.2)
         vals = rng.normal(size=len(pts))
-        post = fit(spec, ObservationSet.empty(dim))
+        post = fit(spec, np.zeros((0, dim)), np.zeros(0))
         start = 0
         for m in (3, 1, 5, 2, 6, 1, 4):
             block, bvals = pts[start:start + m], vals[start:start + m]
             start += m
-            k = pairwise(spec, post.obs.points, block)
+            k = pairwise(spec, post.points, block)
             kbb = pairwise(spec, block, block)
             c, corner = _schur_step(post.chol, k, kbb, post.jitter)
             assert corner is not None
@@ -345,7 +340,7 @@ class TestExtend:
     def test_monotone_variance_reduction(self):
         rng = np.random.default_rng(14)
         spec = spec_se(ls=0.4)
-        post = fit(spec, ObservationSet(np.array([[0.2]]), np.array([0.5])))
+        post = fit(spec, np.array([[0.2]]), np.array([0.5]))
         probes = rng.uniform(0, 1, size=(30, 1))
         _, before = post.predict_batch(probes)
         post = post.extend([[0.6]], [1.0])
@@ -405,4 +400,4 @@ def _separated_points(rng, n, dim, min_dist):
 def test_negative_jitter_rejected():
     spec = spec_se()
     with pytest.raises(ValueError):
-        fit(spec, ObservationSet(np.array([[0.5]]), np.array([1.0])), jitter=-1e-8)
+        fit(spec, np.array([[0.5]]), np.array([1.0]), jitter=-1e-8)
