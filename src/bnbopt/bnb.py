@@ -192,10 +192,34 @@ def shrink(post: gp.GPPosterior, beta_value: float, candidates):
     kept = cands[ucbs >= sup_lcb]
     if kept.shape[0] == 1:
         return kept, RegionBall(kept[0].copy(), 0.0), sup_lcb, mus, sigmas
-    dists = cdist(kept, kept)
-    i, j = np.unravel_index(int(np.argmax(dists)), dists.shape)
-    region = RegionBall(0.5 * (kept[i] + kept[j]), float(dists[i, j]))
+    i, j, dist = _farthest_pair(kept)
+    region = RegionBall(0.5 * (kept[i] + kept[j]), dist)
     return kept, region, sup_lcb, mus, sigmas
+
+
+# relative slack on the pruning radius; cdist's rounding is a few ulps
+_PAIR_MARGIN = 1e-12
+
+
+def _farthest_pair(points: np.ndarray) -> tuple[int, int, float]:
+    """First row-major argmax (i, j) of ``cdist(points, points)`` and its value.
+
+    With r the distances to the bounding box's centre and lb the largest
+    distance from the point of largest r, both ends of every pair at least
+    lb apart have r >= lb - max(r) (triangle inequality). Only those points,
+    in their original order, enter the exact ``cdist``, so the indices and
+    the distance bits are those of the full matrix at a fraction of its
+    size (in 1-D, the two end points).
+    """
+    mid = 0.5 * (points.min(axis=0) + points.max(axis=0))
+    r = cdist(points, mid[None, :])[:, 0]
+    far = int(np.argmax(r))
+    lb = float(cdist(points[far:far + 1], points).max())
+    r_max = float(r[far])
+    idx = np.flatnonzero(r >= lb - r_max - _PAIR_MARGIN * (lb + r_max))
+    dists = cdist(points[idx], points[idx])
+    a, b = np.unravel_index(int(np.argmax(dists)), dists.shape)
+    return int(idx[a]), int(idx[b]), float(dists[a, b])
 
 
 def run(objective, spec: KernelSpec, grid: DyadicGrid, config: RunConfig,

@@ -71,9 +71,13 @@ class GPPosterior:
         m = x.shape[0]
         if len(self) == 0:
             return np.zeros(m), np.full(m, math.sqrt(self.spec.output_scale))
-        kx = kernels.pairwise(self.spec, self.points, x)
-        mus = kx.T @ self.weights
-        v = solve_triangular(self.chol, kx, lower=True, check_finite=False)
+        mus = kernels.pairwise(self.spec, self.points, x).T @ self.weights
+        # the same entries in Fortran order, solved in place: one n x m
+        # block alive at a time. mus keeps the C-order block's gemv, whose
+        # bits differ from those of this block's transpose
+        kx = kernels.pairwise(self.spec, x, self.points).T
+        v = solve_triangular(self.chol, kx, lower=True, overwrite_b=True,
+                             check_finite=False)
         var = self.spec.output_scale - np.einsum("ij,ij->j", v, v)
         # negative roundoff clamped before the square root
         return mus, np.sqrt(np.clip(var, 0.0, None))
@@ -134,7 +138,12 @@ def _schur_step(chol: np.ndarray, k: np.ndarray, kbb: np.ndarray,
     is [[L, 0], [C^T, corner]].
     """
     c = solve_triangular(chol, k, lower=True, check_finite=False)
-    schur = kbb + jitter * np.eye(kbb.shape[0]) - c.T @ c
+    # one m x m buffer; kbb may be a view into a caller's array. Adding the
+    # jitter to the diagonal alone gives the bits of kbb + jitter*I, as
+    # kernel entries are >= +0.0
+    schur = kbb.copy()
+    schur.flat[::schur.shape[0] + 1] += jitter
+    schur -= c.T @ c
     try:
         return c, np.linalg.cholesky(schur)
     except np.linalg.LinAlgError:

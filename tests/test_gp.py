@@ -1,10 +1,11 @@
 """Posterior exactness, incremental updates and prior sampling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_solve, solve_triangular
 
 from bnbopt.errors import DuplicateObservationError, IllConditionedError
 from bnbopt.gp import (
@@ -145,6 +146,45 @@ class TestPredict:
         post = fit(spec, pts, np.zeros(10))
         mus, _ = post.predict_batch(rng.uniform(0, 1, size=(20, 1)))
         assert np.all(mus == 0.0)
+
+    @pytest.mark.parametrize("family", ["se", "matern52"])
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_matches_two_block_formula_bitwise(self, family, dim):
+        # the formula with one C-order kernel block for both mu and the
+        # solve; n and m are large enough for BLAS to block the products
+        rng = np.random.default_rng(90 + dim)
+        n, m = 240, 1200
+        if dim == 1:
+            spec = KernelSpec(family, 1.7, (0.01,), 1)
+            pts = rng.permutation(np.linspace(0.0, 1.0, n))[:, None]
+        else:
+            spec = KernelSpec(family, 1.7, (0.15, 0.3, 0.6), 3)
+            pts = rng.uniform(0.0, 1.0, size=(n, 3))
+        post = fit(spec, pts, rng.normal(size=n))
+        x = rng.uniform(-0.1, 1.1, size=(m, dim))
+        kx = pairwise(spec, post.points, x)
+        mus = kx.T @ post.weights
+        v = solve_triangular(post.chol, kx, lower=True, check_finite=False)
+        var = spec.output_scale - np.einsum("ij,ij->j", v, v)
+        sigmas = np.sqrt(np.clip(var, 0.0, None))
+        got_mus, got_sigmas = post.predict_batch(x)
+        assert got_mus.tobytes() == mus.tobytes()
+        assert got_sigmas.tobytes() == sigmas.tobytes()
+
+    def test_holds_one_kernel_block(self):
+        rng = np.random.default_rng(93)
+        n, m = 600, 3000
+        spec = KernelSpec("se", 1.0, (0.15, 0.3, 0.6), 3)
+        post = fit(spec, rng.uniform(0.0, 1.0, size=(n, 3)), rng.normal(size=n))
+        x = rng.uniform(0.0, 1.0, size=(m, 3))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            post.predict_batch(x)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * m * 8
 
 
 class TestConfidenceBounds:

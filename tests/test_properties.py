@@ -3,6 +3,7 @@
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from bnbopt.bench import (
     boundary_max_objective,
@@ -11,7 +12,7 @@ from bnbopt.bench import (
     quadratic_objective,
     table_prior,
 )
-from bnbopt.bnb import RunConfig, run
+from bnbopt.bnb import RunConfig, _farthest_pair, run
 from bnbopt.kernels import FAMILIES, KernelSpec
 from bnbopt.lattice import DyadicGrid
 
@@ -70,3 +71,33 @@ def test_evaluated_points_in_region_are_shrink_candidates(problem):
         for p in evaluated:
             if rec.region_before.contains(p, grid.lower, grid.upper):
                 assert p.tobytes() in candidates
+
+
+@st.composite
+def lattice_subsets(draw):
+    """Sorted subsets of a small dyadic lattice (many tied distances) in an
+    offset, non-unit box, or of a 1-D span of a few level-24 cells near 0.37,
+    where the pruning radius sits closest to the rounding margin."""
+    if draw(st.booleans()):
+        dim = draw(st.integers(1, 4))
+        lower = np.array([draw(st.floats(-2.0, 2.0)) for _ in range(dim)])
+        upper = lower + np.array([draw(st.floats(0.25, 3.0)) for _ in range(dim)])
+        level = draw(st.integers(1, 5 if dim <= 2 else 2))
+        pts = DyadicGrid(lower, upper, level, level).points()
+    else:
+        h = 2.0 ** -24
+        start = round(0.37 / h) + draw(st.integers(-4, 4))
+        pts = ((start + np.arange(draw(st.integers(2, 6)))) * h)[:, None]
+    picks = draw(st.sets(st.integers(0, len(pts) - 1), min_size=1,
+                         max_size=len(pts)))
+    return pts[sorted(picks)]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(lattice_subsets())
+def test_farthest_pair_is_first_argmax_of_full_matrix(pts):
+    dists = cdist(pts, pts)
+    i, j = np.unravel_index(int(np.argmax(dists)), dists.shape)
+    got_i, got_j, got = _farthest_pair(pts)
+    assert (got_i, got_j) == (i, j)
+    assert np.float64(got).tobytes() == dists[i, j].tobytes()
