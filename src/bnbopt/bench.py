@@ -163,8 +163,8 @@ def plain_ucb_run(objective, spec: KernelSpec, grid: DyadicGrid,
     V = L^-1 K(X, pts) and to a = L^-1 y. The mean V^T a gains a_n V[n] and
     the variances fall by V[n] squared, so a step costs O(n m) instead of
     O(n^2 m). When the Schur complement is not positive definite, the points
-    are refit with jitter escalation and L, V, a and the posterior are
-    recomputed from the new factor.
+    are refit with jitter escalation: L and a are the refit's ``chol`` and
+    ``whitened``, and V and the posterior are recomputed from the new factor.
     """
     level = enumeration_level(grid)
     pts = grid.points(level)
@@ -207,8 +207,7 @@ def plain_ucb_run(objective, spec: KernelSpec, grid: DyadicGrid,
             chol[: n + 1, : n + 1] = post.chol
             v[: n + 1] = solve_triangular(post.chol, kx[: n + 1], lower=True,
                                           check_finite=False)
-            a[: n + 1] = solve_triangular(post.chol, values[: n + 1], lower=True,
-                                          check_finite=False)
+            a[: n + 1] = post.whitened
             mus = v[: n + 1].T @ a[: n + 1]
             var = spec.output_scale - np.einsum("ij,ij->j", v[: n + 1], v[: n + 1])
     return RunTrace(pts[picks], values, [], truncated=False)

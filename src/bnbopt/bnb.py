@@ -190,8 +190,6 @@ def shrink(post: gp.GPPosterior, beta_value: float, candidates):
     lcbs = mus - root * sigmas
     sup_lcb = float(lcbs.max())
     kept = cands[ucbs >= sup_lcb]
-    if kept.shape[0] == 1:
-        return kept, RegionBall(kept[0].copy(), 0.0), sup_lcb, mus, sigmas
     i, j, dist = _farthest_pair(kept)
     region = RegionBall(0.5 * (kept[i] + kept[j]), dist)
     return kept, region, sup_lcb, mus, sigmas

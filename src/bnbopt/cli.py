@@ -31,6 +31,8 @@ _LIBRARY_ERRORS = (GridTooLargeError, DuplicateObservationError,
                    InsufficientDataError, DimensionError)
 
 DEFAULT_MAX_LEVEL = 10
+CONFIG_KEYS = ("domain.dim", "domain.lower", "domain.upper", "lattice.max_level",
+               "kernel.family", "kernel.output_scale", "kernel.lengthscales")
 STRATEGIES = ("bnb", "ucb", "random")
 # least log-log slope of sup sigma against delta that `verify variance` accepts
 VARIANCE_MIN_SLOPE = 1.8
@@ -63,7 +65,7 @@ def _parse_range(text: str, what: str) -> list[int]:
 
 
 def _read_config_file(path: str) -> dict[str, str]:
-    """Flat `section.key = value` lines; '#' starts a comment."""
+    """Flat `section.key = value` lines over ``CONFIG_KEYS``; '#' starts a comment."""
     out: dict[str, str] = {}
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -71,8 +73,11 @@ def _read_config_file(path: str) -> dict[str, str]:
             continue
         if "=" not in line:
             raise ValueError(f"malformed config line: {raw!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in CONFIG_KEYS:
+            raise ValueError(f"unknown config key {key!r} in {path}; known "
+                             f"keys: {', '.join(CONFIG_KEYS)}")
+        out[key] = value
     return out
 
 

@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
 from scipy.spatial.distance import cdist, pdist
 
 from . import kernels
@@ -49,10 +49,10 @@ class GPPosterior:
     """Posterior after exact observations of a zero-mean GP.
 
     ``points`` (n, dim) and ``values`` (n,) are the observations in the
-    order they were made. ``chol`` is the lower-triangular factor of
-    K + jitter*I, with K the Gram matrix of the points, and ``weights``
-    solves (K + jitter*I) w = values. Instances are immutable;
-    :meth:`extend` returns a new posterior.
+    order they were made. ``chol`` is the lower-triangular factor L of
+    K + jitter*I, with K the Gram matrix of the points, and ``whitened`` is
+    L^-1 values, so the mean at x is (L^-1 K(X, x))^T whitened. Instances
+    are immutable; :meth:`extend` returns a new posterior.
     """
 
     spec: kernels.KernelSpec
@@ -60,27 +60,20 @@ class GPPosterior:
     values: np.ndarray
     jitter: float
     chol: np.ndarray
-    weights: np.ndarray
+    whitened: np.ndarray
 
     def __len__(self) -> int:
         return self.points.shape[0]
 
     def predict_batch(self, xs) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized posterior mean/deviation over an (m, dim) array."""
+        """Posterior mean/deviation over an (m, dim) array, both from one
+        Fortran-order kernel block solved in place: v = L^-1 K(X, x)."""
         x = kernels.as_points(self.spec, xs)
-        m = x.shape[0]
-        if len(self) == 0:
-            return np.zeros(m), np.full(m, math.sqrt(self.spec.output_scale))
-        mus = kernels.pairwise(self.spec, self.points, x).T @ self.weights
-        # the same entries in Fortran order, solved in place: one n x m
-        # block alive at a time. mus keeps the C-order block's gemv, whose
-        # bits differ from those of this block's transpose
-        kx = kernels.pairwise(self.spec, x, self.points).T
-        v = solve_triangular(self.chol, kx, lower=True, overwrite_b=True,
-                             check_finite=False)
+        v = solve_triangular(self.chol, kernels.pairwise(self.spec, x, self.points).T,
+                             lower=True, overwrite_b=True, check_finite=False)
         var = self.spec.output_scale - np.einsum("ij,ij->j", v, v)
         # negative roundoff clamped before the square root
-        return mus, np.sqrt(np.clip(var, 0.0, None))
+        return v.T @ self.whitened, np.sqrt(np.clip(var, 0.0, None))
 
     def extend(self, points, values) -> "GPPosterior":
         """Posterior with a block of m extra observations, via a block factor append.
@@ -88,10 +81,11 @@ class GPPosterior:
         With L the current factor and B the new points, C = L^-1 K(X, B) and
         the Schur complement S = K(B, B) + jitter*I - C^T C give the new
         factor [[L, 0], [C^T, chol(S)]] (the block form of Rasmussen &
-        Williams 2006, Alg. 2.1). Costs O(n^2 m + n m^2 + m^3) instead of a
-        full refit; falls back to a refit (with jitter escalation) if S is not
-        positive definite. Points closer than ``DUPLICATE_TOL`` to an observed
-        point or to each other are rejected.
+        Williams 2006, Alg. 2.1); ``whitened`` keeps its entries and gains
+        chol(S)^-1 (y_B - C^T whitened). Costs O(n^2 m + n m^2 + m^3) instead
+        of a full refit; falls back to a refit (with jitter escalation) if S is
+        not positive definite. Points closer than ``DUPLICATE_TOL`` to an
+        observed point or to each other are rejected.
         """
         block = kernels.as_points(self.spec, points)
         n, m = len(self), block.shape[0]
@@ -110,8 +104,9 @@ class GPPosterior:
         chol[:n, :n] = self.chol
         chol[n:, :n] = c.T
         chol[n:, n:] = corner
-        weights = cho_solve((chol, True), vals, check_finite=False)
-        return GPPosterior(self.spec, pts, vals, self.jitter, chol, weights)
+        whitened = np.append(self.whitened, solve_triangular(
+            corner, vals[n:] - c.T @ self.whitened, lower=True, check_finite=False))
+        return GPPosterior(self.spec, pts, vals, self.jitter, chol, whitened)
 
 
 def _check_new(observed: np.ndarray, block: np.ndarray) -> None:
@@ -152,7 +147,7 @@ def _schur_step(chol: np.ndarray, k: np.ndarray, kbb: np.ndarray,
 
 def fit(spec: kernels.KernelSpec, points, values,
         jitter: float | None = None) -> GPPosterior:
-    """Factor the jittered Gram matrix and solve for the mean weights.
+    """Factor the jittered Gram matrix and whiten the values: L^-1 values.
 
     ``points`` is (n, dim) with one value each; exact duplicate points raise
     :class:`DuplicateObservationError`. ``jitter=None`` uses
@@ -176,8 +171,8 @@ def fit(spec: kernels.KernelSpec, points, values,
                            np.zeros(0))
     K = kernels.pairwise(spec, pts, pts)
     chol, used = _factor(K, jitter, spec.output_scale, pts)
-    weights = cho_solve((chol, True), vals, check_finite=False)
-    return GPPosterior(spec, pts, vals, used, chol, weights)
+    whitened = solve_triangular(chol, vals, lower=True, check_finite=False)
+    return GPPosterior(spec, pts, vals, used, chol, whitened)
 
 
 def sample_prior_on_grid(spec: kernels.KernelSpec, grid_points, seed: int,

@@ -79,12 +79,14 @@ class TestShrink:
         assert sup_lcb == pytest.approx(2.0, abs=1e-4)
 
     def test_single_candidate(self):
-        pts = np.array([[0.25]])
-        post = self._observed_posterior(pts, np.array([1.0]))
-        kept, region, _, _, _ = shrink(post, 9.0, pts)
-        assert np.array_equal(kept, pts)
-        assert region.radius == 0.0
-        assert region.center[0] == 0.25
+        # a lone kept point is its own farthest pair, and 0.5 * (x + x) is x
+        # bitwise, also off the lattice
+        for pts in (np.array([[0.25]]), np.array([[0.1, 1.0 / 3.0, 0.7]])):
+            post = self._observed_posterior(pts, np.array([1.0]))
+            kept, region, _, _, _ = shrink(post, 9.0, pts)
+            assert np.array_equal(kept, pts)
+            assert region.radius == 0.0
+            assert region.center.tobytes() == pts[0].tobytes()
 
     def test_enclosing_ball_of_kept_pair(self):
         # an empty posterior scores every candidate identically, so the

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bnbopt import bench, gp
-from bnbopt.cli import main
+from bnbopt.cli import CONFIG_KEYS, main
 from bnbopt.errors import DuplicateObservationError
 
 
@@ -102,6 +102,19 @@ class TestRun:
         rows = read_csv(out / "trace.csv")
         xs = [float(r["x0"]) for r in rows]
         assert max(xs) > 1.0  # the configured domain reaches 2
+
+    def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
+        # a misspelt key would otherwise run silently on the defaults
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("kernel.lengthscale = 0.05\nlattice.maxlevel = 4\n")
+        out = tmp_path / "o"
+        code = run_cli("run", "--objective", "quadratic", "--budget", "30",
+                       "--config", str(cfg), "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'kernel.lengthscale'" in err
+        assert all(key in err for key in CONFIG_KEYS)
+        assert not out.exists()
 
 
 class TestCompare:

@@ -5,8 +5,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
 
+from bnbopt import kernels
 from bnbopt.errors import DuplicateObservationError, IllConditionedError
 from bnbopt.gp import (
     _factor,
@@ -50,17 +51,20 @@ class TestFit:
             fit(spec_se(), np.array([[0.5], [0.5]]), np.array([1.0, 2.0]))
 
     def test_empty_returns_prior(self):
+        # the empty posterior takes predict_batch's general path
         spec = spec_se(scale=2.25)
         post = fit(spec, np.zeros((0, 1)), np.zeros(0))
-        (mu,), (sigma,) = post.predict_batch(np.atleast_2d([0.3]))
-        assert mu == 0.0
-        assert sigma == 1.5  # sqrt of the prior variance
+        mus, sigmas = post.predict_batch(np.array([[0.3], [-1.0], [0.0], [7.5]]))
+        assert mus.tobytes() == np.zeros(4).tobytes()
+        assert sigmas.tobytes() == np.full(4, 1.5).tobytes()  # sqrt of 2.25
 
     def test_single_observation_weights(self):
+        # L is the 1x1 factor sqrt(1 + jitter), so L^-1 y = 2 / sqrt(1 + jitter)
         spec = spec_se(scale=1.0)
         jitter = 1e-8
         post = fit(spec, np.array([[0.4]]), np.array([2.0]), jitter)
-        assert post.weights[0] == pytest.approx(2.0 / (1.0 + jitter), rel=1e-12)
+        assert post.whitened[0] == pytest.approx(2.0 / math.sqrt(1.0 + jitter),
+                                                 rel=1e-12)
 
     def test_two_observations_match_closed_form(self):
         spec = spec_se(ls=0.5)
@@ -115,7 +119,7 @@ class TestPredict:
     def test_interpolation_invariant(self):
         # points separated by >= 2.5 lengthscales: closer spacing with
         # incoherent values makes noise-free interpolation ill-posed in
-        # float64 (the mean weights blow up against the jitter)
+        # float64 (K^-1 y blows up against the jitter)
         rng = np.random.default_rng(4)
         for trial in range(10):
             dim = 1 + trial % 2
@@ -150,8 +154,9 @@ class TestPredict:
     @pytest.mark.parametrize("family", ["se", "matern52"])
     @pytest.mark.parametrize("dim", [1, 3])
     def test_matches_two_block_formula_bitwise(self, family, dim):
-        # the formula with one C-order kernel block for both mu and the
-        # solve; n and m are large enough for BLAS to block the products
+        # the one-block formula written out: v = L^-1 K(X, x) from a C-order
+        # kernel block, mu = v^T whitened and sigma from the same v; n and m
+        # are large enough for BLAS to block the products
         rng = np.random.default_rng(90 + dim)
         n, m = 240, 1200
         if dim == 1:
@@ -163,13 +168,27 @@ class TestPredict:
         post = fit(spec, pts, rng.normal(size=n))
         x = rng.uniform(-0.1, 1.1, size=(m, dim))
         kx = pairwise(spec, post.points, x)
-        mus = kx.T @ post.weights
         v = solve_triangular(post.chol, kx, lower=True, check_finite=False)
+        mus = v.T @ post.whitened
         var = spec.output_scale - np.einsum("ij,ij->j", v, v)
         sigmas = np.sqrt(np.clip(var, 0.0, None))
         got_mus, got_sigmas = post.predict_batch(x)
         assert got_mus.tobytes() == mus.tobytes()
         assert got_sigmas.tobytes() == sigmas.tobytes()
+
+    def test_one_pairwise_call(self, monkeypatch):
+        rng = np.random.default_rng(94)
+        spec = KernelSpec("se", 1.0, (0.15, 0.3), 2)
+        post = fit(spec, rng.uniform(0.0, 1.0, size=(30, 2)), rng.normal(size=30))
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return pairwise(*args)
+
+        monkeypatch.setattr(kernels, "pairwise", counting)
+        post.predict_batch(rng.uniform(0.0, 1.0, size=(50, 2)))
+        assert len(calls) == 1
 
     def test_holds_one_kernel_block(self):
         rng = np.random.default_rng(93)
@@ -294,6 +313,9 @@ class TestExtend:
             mu, sig = post.predict_batch(probes)
             assert np.max(np.abs(mu - mu_b)) <= 1e-9
             assert np.max(np.abs(sig - sig_b)) <= 1e-9
+            # extend keeps the prior's entries and appends the rest
+            assert post.whitened[:head].tobytes() == prior.whitened.tobytes()
+            assert np.max(np.abs(post.whitened - batch.whitened)) <= 1e-9
 
     def test_empty_block_keeps_points_and_predictions(self):
         spec = spec_se(ls=0.5)
@@ -372,10 +394,12 @@ class TestExtend:
             chol[:n, :n] = post.chol
             chol[n:, :n] = c.T
             chol[n:, n:] = corner
-            weights = cho_solve((chol, True), vals[:start], check_finite=False)
+            tail = solve_triangular(corner, bvals - c.T @ post.whitened,
+                                    lower=True, check_finite=False)
+            whitened = np.append(post.whitened, tail)
             post = post.extend(block, bvals)
             assert np.array_equal(post.chol, chol)
-            assert np.array_equal(post.weights, weights)
+            assert np.array_equal(post.whitened, whitened)
 
     def test_monotone_variance_reduction(self):
         rng = np.random.default_rng(14)
