@@ -10,7 +10,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from . import gp
-from .errors import DimensionError, ResolutionExhausted
+from .errors import DimensionError
 from .kernels import KernelSpec
 from .lattice import DyadicGrid, RegionBall, point_keys
 
@@ -134,36 +134,35 @@ def initial_region(grid: DyadicGrid) -> RegionBall:
 _PROBE_CAP = 4096
 
 
-def _probe_level(grid: DyadicGrid, region: RegionBall, cap: int = _PROBE_CAP) -> int:
+def _probe_level(grid: DyadicGrid, region: RegionBall, level: int,
+                 cap: int = _PROBE_CAP) -> int:
     """Deepest level whose region cover stays within `cap` points.
 
     Shrink candidates live on this lattice, never coarser than one level
-    past the sampled one. As the region contracts, the probe level reaches
-    the finest lattice, where the surviving set is exactly the fine lattice
-    points whose UCB still clears the best LCB.
+    past the sampled ``level``. As the region contracts, the probe level
+    reaches the finest lattice, where the surviving set is exactly the fine
+    lattice points whose UCB still clears the best LCB.
     """
-    floor_level = min(grid.level + 1, grid.max_level)
+    floor_level = min(level + 1, grid.max_level)
     for lev in range(grid.max_level, floor_level, -1):
         if grid.cover_window_size(region, lev) <= cap:
             return lev
     return floor_level
 
 
-def densify(post: gp.GPPosterior, region: RegionBall, grid: DyadicGrid,
-            objective, max_new: int | None = None):
-    """Evaluate every not-yet-observed cover point of the region, in lattice order.
+def densify(post: gp.GPPosterior, cover: np.ndarray, objective, max_new: int):
+    """Evaluate every not-yet-observed point of the cover, in its order.
 
     The cover comes from the lattice, not from the posterior, so all of it is
     evaluated first and then appended to the posterior in one block.
     Returns ``(post, truncated)``: the extended posterior, whose points and
     values past the old length are the ones added, and whether ``max_new``
-    stopped the pass with an unseen cover point left. Idempotent at a fixed
-    level and region.
+    stopped the pass with an unseen cover point left. Idempotent for a fixed
+    cover.
     """
-    cover = grid.cover_points(region)
     seen = set(point_keys(post.points))
     block = cover[np.array([key not in seen for key in point_keys(cover)], dtype=bool)]
-    truncated = max_new is not None and block.shape[0] > max_new
+    truncated = block.shape[0] > max_new
     if truncated:
         block = block[:max_new]
     values = [float(objective(p)) for p in block]
@@ -222,11 +221,12 @@ def _farthest_pair(points: np.ndarray) -> tuple[int, int, float]:
 
 def run(objective, spec: KernelSpec, grid: DyadicGrid, config: RunConfig,
         observer: Callable[[ShrinkEvent], None] | None = None) -> RunTrace:
-    """Alternate lattice refinement, dense sampling and region shrinking.
+    """Walk the lattice levels past ``grid.level``: sample each level's
+    cover of the region, then shrink the region.
 
     Terminates when the region no longer meets the lattice, its radius hits
     zero, the evaluation budget is spent (truncated if that happens mid
-    densify), or the lattice cannot be refined further. Deterministic for a
+    densify), or the finest level has been sampled. Deterministic for a
     fixed configuration.
     """
     if spec.dim != grid.dim:
@@ -246,18 +246,13 @@ def run(objective, spec: KernelSpec, grid: DyadicGrid, config: RunConfig,
     region = initial_region(grid)
     iterations: list[IterationRecord] = []
     truncated = False
-    iteration = 0
 
-    while len(post) < config.max_evaluations:
-        try:
-            grid = grid.refine()
-        except ResolutionExhausted:
+    for iteration, level in enumerate(range(grid.level + 1, grid.max_level + 1), 1):
+        if len(post) >= config.max_evaluations:
             break
-        iteration += 1
         before = len(post)
-        post, truncated = densify(
-            post, region, grid, objective, config.max_evaluations - before
-        )
+        post, truncated = densify(post, grid.cover_points(region, level),
+                                  objective, config.max_evaluations - before)
         if truncated:
             break
         # Probe candidates on a finer lattice than the samples: between
@@ -267,8 +262,7 @@ def run(objective, spec: KernelSpec, grid: DyadicGrid, config: RunConfig,
         # lattices nest bitwise, so every evaluated point inside the region
         # is already a probe point. An empty cover means the region has left
         # the box.
-        probe = replace(grid, level=_probe_level(grid, region))
-        candidates = probe.cover_points(region)
+        candidates = grid.cover_points(region, _probe_level(grid, region, level))
         if candidates.shape[0] == 0:
             break
         T = len(post)
@@ -276,8 +270,8 @@ def run(objective, spec: KernelSpec, grid: DyadicGrid, config: RunConfig,
         kept, new_region, sup_lcb, mus, sigmas = shrink(post, beta_T, candidates)
         record = IterationRecord(
             iteration=iteration,
-            level=grid.level,
-            delta=grid.delta(),
+            level=level,
+            delta=grid.delta(level),
             new_points_count=T - before,
             T_after=T,
             beta_T=beta_T,
@@ -291,15 +285,10 @@ def run(objective, spec: KernelSpec, grid: DyadicGrid, config: RunConfig,
             observer(ShrinkEvent(record, candidates, mus, sigmas, kept))
         region = new_region
         if region.radius == 0.0:
-            # the ball pinpoints a single lattice point: sample it before
-            # stopping so the conclusion is actually observed
-            key = tuple(region.center.tolist())
-            if (
-                len(post) < config.max_evaluations
-                and key not in set(point_keys(post.points))
-            ):
-                fx = float(objective(region.center))
-                post = post.extend(region.center[None, :], [fx])
+            # the ball pinpoints a single lattice point: sample it, budget
+            # permitting, before stopping so the conclusion is observed
+            post, _ = densify(post, region.center[None, :], objective,
+                              config.max_evaluations - len(post))
             break
 
     return RunTrace(post.points, post.values, iterations, truncated)

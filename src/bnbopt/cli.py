@@ -65,9 +65,11 @@ def _parse_range(text: str, what: str) -> list[int]:
 
 
 def _read_config_file(path: str) -> dict[str, str]:
-    """Flat `section.key = value` lines over ``CONFIG_KEYS``; '#' starts a comment."""
+    """Flat `section.key = value` lines over ``CONFIG_KEYS``, each key at most
+    once; '#' starts a comment."""
     out: dict[str, str] = {}
-    for raw in Path(path).read_text().splitlines():
+    line_of: dict[str, int] = {}
+    for number, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -77,6 +79,10 @@ def _read_config_file(path: str) -> dict[str, str]:
         if key not in CONFIG_KEYS:
             raise ValueError(f"unknown config key {key!r} in {path}; known "
                              f"keys: {', '.join(CONFIG_KEYS)}")
+        if key in line_of:
+            raise ValueError(f"config key {key!r} repeated in {path}: lines "
+                             f"{line_of[key]} and {number}")
+        line_of[key] = number
         out[key] = value
     return out
 

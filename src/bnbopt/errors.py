@@ -18,10 +18,6 @@ class IllConditionedError(RuntimeError):
         self.jitter = jitter
 
 
-class ResolutionExhausted(Exception):
-    """The lattice cannot be refined past its maximum level."""
-
-
 class InsufficientDataError(ValueError):
     """Too few usable entries for the requested fit."""
 

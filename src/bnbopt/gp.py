@@ -85,7 +85,8 @@ class GPPosterior:
         chol(S)^-1 (y_B - C^T whitened). Costs O(n^2 m + n m^2 + m^3) instead
         of a full refit; falls back to a refit (with jitter escalation) if S is
         not positive definite. Points closer than ``DUPLICATE_TOL`` to an
-        observed point or to each other are rejected.
+        observed point or to each other are rejected. An empty block returns
+        this posterior.
         """
         block = kernels.as_points(self.spec, points)
         n, m = len(self), block.shape[0]
@@ -94,6 +95,8 @@ class GPPosterior:
         vals = np.append(self.values, np.asarray(values, dtype=float))
         if vals.shape != (n + m,):
             raise ValueError("points and values must have matching lengths")
+        if m == 0:
+            return self
         # K(X, B) over K(B, B): every entry is computed on its own, so one
         # kernel block gives the bits of two
         kb = kernels.pairwise(self.spec, pts, block)

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, GridTooLargeError, ResolutionExhausted
+from .errors import DimensionError, GridTooLargeError
 
 DEFAULT_MAX_LEVEL = 24
 _ENUM_CAP = 2_000_000
@@ -54,6 +54,8 @@ class DyadicGrid:
     Level-``l`` points are ``lower + k * (upper - lower) / 2^l`` for integer
     multi-indices ``k`` in ``[0, 2^l]^dim``; every point of level ``l`` is a
     point of level ``l + 1``, bitwise, so refinement never moves a sample.
+    Every query names its level. ``level`` is only where a run starts:
+    `bnb.run` samples the levels ``level + 1`` to ``max_level``.
     """
 
     lower: np.ndarray
@@ -86,32 +88,21 @@ class DyadicGrid:
     def dim(self) -> int:
         return self.lower.shape[0]
 
-    def delta(self, level: int | None = None) -> float:
-        """Cell diagonal at the given (default current) level.
+    def delta(self, level: int) -> float:
+        """Cell diagonal at the level.
 
         Exactly halves for each level increment (division by a power of two).
         """
-        lev = self.level if level is None else level
-        return self._diag / float(2**lev)
+        return self._diag / float(2**level)
 
-    def num_points(self, level: int | None = None) -> int:
-        lev = self.level if level is None else level
-        return (2**lev + 1) ** self.dim
+    def num_points(self, level: int) -> int:
+        return (2**level + 1) ** self.dim
 
-    def points(self, level: int | None = None) -> np.ndarray:
+    def points(self, level: int) -> np.ndarray:
         """All lattice points at the level, in lexicographic order."""
-        lev = self.level if level is None else level
-        if not 0 <= lev <= self.max_level:
+        if not 0 <= level <= self.max_level:
             raise ValueError("level must lie in [0, max_level]")
-        return self._enumerate(lev, [0] * self.dim, [2**lev] * self.dim)
-
-    def refine(self) -> "DyadicGrid":
-        """One level finer; the coarse points are a subset of the fine points."""
-        if self.level >= self.max_level:
-            raise ResolutionExhausted(
-                f"grid already at its maximum level {self.max_level}"
-            )
-        return replace(self, level=self.level + 1)
+        return self._enumerate(level, [0] * self.dim, [2**level] * self.dim)
 
     def _enumerate(self, level: int, k_lo: list[int], k_hi: list[int]) -> np.ndarray:
         """Level points with per-axis indices in [k_lo, k_hi], lexicographically.
@@ -169,27 +160,27 @@ class DyadicGrid:
             k_hi.append(b)
         return k_lo, k_hi
 
-    def cover_window_size(self, region: RegionBall, level: int | None = None) -> int:
+    def cover_window_size(self, region: RegionBall, level: int) -> int:
         """Upper bound on the cover enumeration size at a level, in O(dim) time."""
-        window = self._window(region, self.level if level is None else level)
+        window = self._window(region, level)
         if window is None:
             return 0
         k_lo, k_hi = window
         return math.prod(hi - lo + 1 for lo, hi in zip(k_lo, k_hi))
 
-    def cover_points(self, region: RegionBall) -> np.ndarray:
-        """Current-level lattice points within the region dilated by one cell diagonal.
+    def cover_points(self, region: RegionBall, level: int) -> np.ndarray:
+        """Level lattice points within the region dilated by one cell diagonal.
 
         Every point of the (ball-and-box) region then lies in a cell whose
-        corners are all returned, so it is within ``delta()`` of a returned
-        point. A region disjoint from the box yields an empty array. Requires
-        ``level >= 1``.
+        corners are all returned, so it is within ``delta(level)`` of a
+        returned point. A region disjoint from the box yields an empty array.
+        Requires ``1 <= level <= max_level``.
         """
-        if self.level < 1:
-            raise ValueError("cover_points requires level >= 1")
-        window = self._window(region, self.level)
+        if not 1 <= level <= self.max_level:
+            raise ValueError("cover_points requires 1 <= level <= max_level")
+        window = self._window(region, level)
         if window is None:
             return np.zeros((0, self.dim))
-        pts = self._enumerate(self.level, *window)
+        pts = self._enumerate(level, *window)
         dist = np.sqrt(((pts - region.center) ** 2).sum(axis=1))
-        return pts[dist <= region.radius + self.delta()]
+        return pts[dist <= region.radius + self.delta(level)]

@@ -121,7 +121,8 @@ class TestShrink:
 class TestDensify:
     def test_first_call_evaluates_full_cover_in_order(self):
         spec = spec_se()
-        grid = unit_grid().refine()  # level 1
+        grid = unit_grid()
+        cover = grid.cover_points(initial_region(grid), 1)
         post = fit(spec, np.zeros((0, 1)), np.zeros(0))
         seen = []
 
@@ -129,7 +130,7 @@ class TestDensify:
             seen.append(float(x[0]))
             return 0.0
 
-        post, truncated = densify(post, initial_region(grid), grid, objective)
+        post, truncated = densify(post, cover, objective, len(cover))
         assert seen == [0.0, 0.5, 1.0]  # lexicographic order
         assert post.points[:, 0].tolist() == [0.0, 0.5, 1.0]
         assert post.values.tolist() == [0.0, 0.0, 0.0]
@@ -137,42 +138,41 @@ class TestDensify:
 
     def test_idempotent_at_fixed_level_and_region(self):
         spec = spec_se()
-        grid = unit_grid().refine()
-        region = initial_region(grid)
+        grid = unit_grid()
+        cover = grid.cover_points(initial_region(grid), 1)
         post = fit(spec, np.zeros((0, 1)), np.zeros(0))
-        first, _ = densify(post, region, grid, lambda x: float(x[0]))
+        first, _ = densify(post, cover, lambda x: float(x[0]), len(cover))
         assert len(first) == 3
-        second, truncated = densify(first, region, grid, lambda x: float(x[0]))
+        second, truncated = densify(first, cover, lambda x: float(x[0]),
+                                    len(cover))
         assert np.array_equal(second.points, first.points)
         assert np.array_equal(second.values, first.values)
         assert not truncated
 
     def test_max_new_caps_evaluations(self):
         spec = spec_se()
-        grid = unit_grid().refine()
+        grid = unit_grid()
+        cover = grid.cover_points(initial_region(grid), 1)
         post = fit(spec, np.zeros((0, 1)), np.zeros(0))
-        post, truncated = densify(post, initial_region(grid), grid,
-                                  lambda x: float(x[0]), max_new=2)
+        post, truncated = densify(post, cover, lambda x: float(x[0]), max_new=2)
         assert len(post) == 2
         assert truncated
 
     def test_truncated_only_when_unseen_point_left_at_cap(self):
         spec = spec_se()
-        grid = unit_grid().refine()  # cover of the whole domain: 3 points
-        region = initial_region(grid)
+        grid = unit_grid()
+        # cover of the whole domain at level 1: 3 points
+        cover = grid.cover_points(initial_region(grid), 1)
         empty = fit(spec, np.zeros((0, 1)), np.zeros(0))
         # a cap equal to the unseen count evaluates them all: not truncated
-        post, truncated = densify(empty, region, grid,
-                                  lambda x: float(x[0]), max_new=3)
+        post, truncated = densify(empty, cover, lambda x: float(x[0]), max_new=3)
         assert len(post) == 3 and not truncated
         # a cap of zero with nothing left unseen stops nothing
-        same, truncated = densify(post, region, grid,
-                                  lambda x: float(x[0]), max_new=0)
+        same, truncated = densify(post, cover, lambda x: float(x[0]), max_new=0)
         assert len(same) == 3 and not truncated
         # one point seen, cap of one: the third cover point is left unseen
         seeded = fit(spec, np.array([[0.5]]), np.array([0.5]))
-        post, truncated = densify(seeded, region, grid,
-                                  lambda x: float(x[0]), max_new=1)
+        post, truncated = densify(seeded, cover, lambda x: float(x[0]), max_new=1)
         assert post.points[1:, 0].tolist() == [0.0]
         assert truncated
 
@@ -195,9 +195,10 @@ class TestDensify:
 
     def test_whole_cover_evaluated_then_appended_once(self, monkeypatch):
         events, objective = self._record_calls(monkeypatch)
-        grid = unit_grid().refine().refine()  # level 2: 5 cover points
+        grid = unit_grid()
+        cover = grid.cover_points(initial_region(grid), 2)  # 5 points
         seeded = fit(spec_se(), np.array([[0.5]]), np.array([0.25]))
-        post, truncated = densify(seeded, initial_region(grid), grid, objective)
+        post, truncated = densify(seeded, cover, objective, len(cover))
         assert [e[0] for e in events] == ["objective"] * 4 + ["extend"]
         _, block, values = events[-1]
         assert block[:, 0].tolist() == [0.0, 0.25, 0.75, 1.0]
@@ -208,10 +209,10 @@ class TestDensify:
 
     def test_truncated_pass_appends_the_evaluated_prefix(self, monkeypatch):
         events, objective = self._record_calls(monkeypatch)
-        grid = unit_grid().refine().refine()
+        grid = unit_grid()
+        cover = grid.cover_points(initial_region(grid), 2)
         seeded = fit(spec_se(), np.array([[0.25]]), np.array([0.0625]))
-        post, truncated = densify(seeded, initial_region(grid), grid,
-                                  objective, max_new=2)
+        post, truncated = densify(seeded, cover, objective, max_new=2)
         assert truncated
         assert [e[0] for e in events] == ["objective"] * 2 + ["extend"]
         evaluated = [e[1] for e in events[:-1]]
@@ -264,6 +265,56 @@ class TestRun:
         point, value = trace.incumbent(len(trace))
         assert np.array_equal(point, obj.known_max_point)
         assert value == obj.known_max_value
+
+    def test_levels_run_from_grid_level_to_the_finest(self):
+        # a constant objective never pinpoints a region, so only the level
+        # loop stops these runs: at the grid's cap, at the config's, or with
+        # the budget spent exactly at the end of a level, which is not a
+        # truncation
+        spec = spec_se(ls=0.3)
+        cases = ((unit_grid(max_level=4), RunConfig(max_evaluations=10**6),
+                  [1, 2, 3, 4], 17),
+                 (unit_grid(max_level=8),
+                  RunConfig(max_evaluations=10**6, max_level=3), [1, 2, 3], 9),
+                 (unit_grid(max_level=4), RunConfig(max_evaluations=9),
+                  [1, 2, 3], 9))
+        for grid, config, levels, T in cases:
+            trace = run(constant_objective(0.0), spec, grid, config)
+            assert [rec.level for rec in trace.iterations] == levels
+            assert len(trace) == T and not trace.truncated
+
+    def _pinpointed_gp_run(self, budget):
+        spec = spec_se()
+        grid = unit_grid(max_level=6)
+        obj = gp_sample_objective(table_prior(spec, grid, 6), seed=1)
+        return run(obj, spec, grid, RunConfig(alpha=0.05, max_evaluations=budget))
+
+    def test_pinpointed_unseen_centre_is_evaluated_last(self):
+        trace = self._pinpointed_gp_run(200)
+        last = trace.iterations[-1]
+        assert last.region_after.radius == 0.0
+        assert (last.T_after, len(trace)) == (9, 10)
+        assert trace.points[-1].tolist() == [0.21875]
+        assert np.array_equal(trace.points[-1], last.region_after.center)
+        assert not trace.truncated
+
+    def test_pinpointed_centre_skipped_when_budget_spent(self):
+        trace = self._pinpointed_gp_run(9)
+        last = trace.iterations[-1]
+        assert last.region_after.center.tolist() == [0.21875]
+        assert last.region_after.radius == 0.0
+        assert len(trace) == last.T_after == 9
+        assert 0.21875 not in trace.points[:, 0].tolist()
+        assert not trace.truncated
+
+    def test_pinpointed_seen_centre_is_not_evaluated_again(self):
+        obj = quadratic_objective([0.5], 1.0, 1.0, [0.0], [1.0])
+        trace = run(obj, spec_se(), unit_grid(max_level=6), RunConfig())
+        last = trace.iterations[-1]
+        assert last.region_after.center.tolist() == [0.5]
+        assert last.region_after.radius == 0.0
+        assert len(trace) == last.T_after == 11
+        assert trace.points[:, 0].tolist().count(0.5) == 1
 
     def test_domain_mismatch_rejected(self):
         obj = quadratic_objective([0.5], 1.0, 1.0, [0.0], [2.0])

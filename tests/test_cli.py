@@ -116,6 +116,20 @@ class TestRun:
         assert all(key in err for key in CONFIG_KEYS)
         assert not out.exists()
 
+    def test_repeated_config_key_is_usage_error(self, tmp_path, capsys):
+        # the last line would otherwise win silently
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("lattice.max_level = 4\n# comment\n"
+                       "kernel.family = se\nlattice.max_level = 6\n")
+        out = tmp_path / "o"
+        code = run_cli("run", "--objective", "quadratic", "--budget", "30",
+                       "--config", str(cfg), "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'lattice.max_level'" in err
+        assert "lines 1 and 4" in err
+        assert not out.exists()
+
 
 class TestCompare:
     def test_three_strategies_times_three_seeds(self, tmp_path):

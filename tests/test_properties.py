@@ -83,7 +83,7 @@ def lattice_subsets(draw):
         lower = np.array([draw(st.floats(-2.0, 2.0)) for _ in range(dim)])
         upper = lower + np.array([draw(st.floats(0.25, 3.0)) for _ in range(dim)])
         level = draw(st.integers(1, 5 if dim <= 2 else 2))
-        pts = DyadicGrid(lower, upper, level, level).points()
+        pts = DyadicGrid(lower, upper, 0, level).points(level)
     else:
         h = 2.0 ** -24
         start = round(0.37 / h) + draw(st.integers(-4, 4))
