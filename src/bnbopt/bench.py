@@ -187,7 +187,6 @@ def plain_ucb_run(objective, spec: KernelSpec, grid: DyadicGrid,
                          -np.inf)
         pick = int(np.argmax(score))
         x = pts[pick]
-        gp._check_new(pts[picks[:n]], x[None, :])
         values[n] = float(objective(x))
         picks[n] = pick
         available[pick] = False
@@ -351,7 +350,6 @@ def variance_bound_experiment(spec: KernelSpec, lower, upper,
 class EnvelopeReport:
     """Per-seed worst envelope ratios and argmax-retention flags."""
 
-    alpha: float
     seeds: tuple[int, ...]
     max_ratios: np.ndarray
     retained: np.ndarray
@@ -418,4 +416,4 @@ def envelope_experiment(spec: KernelSpec, grid: DyadicGrid, level: int,
         run(objective, spec, prior.grid, config, observer=audit)
         ratios[i] = audit.max_ratio
         kept_ok[i] = audit.retained
-    return EnvelopeReport(alpha, seeds, ratios, kept_ok)
+    return EnvelopeReport(seeds, ratios, kept_ok)

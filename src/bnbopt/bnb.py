@@ -84,6 +84,8 @@ class RunTrace:
         vals = np.asarray(self.values, dtype=float)
         if pts.ndim != 2 or vals.shape != (pts.shape[0],):
             raise ValueError("points must be (T, dim) with matching values")
+        if not np.isfinite(vals).all():
+            raise ValueError("observed values must be finite")
         self.points = pts
         self.values = vals
         best = np.zeros(len(vals), dtype=int)
@@ -134,9 +136,8 @@ def initial_region(grid: DyadicGrid) -> RegionBall:
 _PROBE_CAP = 4096
 
 
-def _probe_level(grid: DyadicGrid, region: RegionBall, level: int,
-                 cap: int = _PROBE_CAP) -> int:
-    """Deepest level whose region cover stays within `cap` points.
+def _probe_level(grid: DyadicGrid, region: RegionBall, level: int) -> int:
+    """Deepest level whose region cover stays within ``_PROBE_CAP`` points.
 
     Shrink candidates live on this lattice, never coarser than one level
     past the sampled ``level``. As the region contracts, the probe level
@@ -145,7 +146,7 @@ def _probe_level(grid: DyadicGrid, region: RegionBall, level: int,
     """
     floor_level = min(level + 1, grid.max_level)
     for lev in range(grid.max_level, floor_level, -1):
-        if grid.cover_window_size(region, lev) <= cap:
+        if grid.cover_window_size(region, lev) <= _PROBE_CAP:
             return lev
     return floor_level
 
@@ -224,10 +225,9 @@ def run(objective, spec: KernelSpec, grid: DyadicGrid, config: RunConfig,
     """Walk the lattice levels past ``grid.level``: sample each level's
     cover of the region, then shrink the region.
 
-    Terminates when the region no longer meets the lattice, its radius hits
-    zero, the evaluation budget is spent (truncated if that happens mid
-    densify), or the finest level has been sampled. Deterministic for a
-    fixed configuration.
+    Terminates when the region's radius hits zero, the evaluation budget is
+    spent (truncated if that happens mid densify), or the finest level has
+    been sampled. Deterministic for a fixed configuration.
     """
     if spec.dim != grid.dim:
         raise DimensionError(
@@ -260,11 +260,8 @@ def run(objective, spec: KernelSpec, grid: DyadicGrid, config: RunConfig,
         # set reflects the confidence bounds there, not just at the sampled
         # points. The probe level is never below the sampled one and dyadic
         # lattices nest bitwise, so every evaluated point inside the region
-        # is already a probe point. An empty cover means the region has left
-        # the box.
+        # is already a probe point.
         candidates = grid.cover_points(region, _probe_level(grid, region, level))
-        if candidates.shape[0] == 0:
-            break
         T = len(post)
         beta_T = beta(T, lattice_size, config.alpha)
         kept, new_region, sup_lcb, mus, sigmas = shrink(post, beta_T, candidates)

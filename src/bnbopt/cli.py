@@ -150,9 +150,7 @@ def _build_objective(name: str, settings: _Settings, seed: int,
         center = settings.lower + 0.5 * (settings.upper - settings.lower)
         return bench.quadratic_objective(center, 1.0, 1.0, settings.lower,
                                          settings.upper)
-    if name == "boundary":
-        return bench.boundary_max_objective(settings.lower, settings.upper)
-    raise ValueError(f"unknown objective {name!r}")
+    return bench.boundary_max_objective(settings.lower, settings.upper)
 
 
 def _run_strategy(strategy: str, objective, settings: _Settings, seed: int,
@@ -166,14 +164,11 @@ def _run_strategy(strategy: str, objective, settings: _Settings, seed: int,
         return bnb.run(objective, settings.spec, grid, config)
     if strategy == "ucb":
         return bench.plain_ucb_run(objective, settings.spec, grid, config)
-    if strategy == "random":
-        return bench.random_run(objective, grid, config)
-    raise ValueError(f"unknown strategy {strategy!r}")
+    return bench.random_run(objective, grid, config)
 
 
-def _write_trace_csv(path: Path, trace: bnb.RunTrace, objective) -> None:
+def _write_trace_csv(path: Path, trace: bnb.RunTrace, regret: np.ndarray) -> None:
     dim = trace.points.shape[1]
-    fstar = objective.known_max_value
     incumbents = trace.incumbent_values
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
@@ -182,10 +177,9 @@ def _write_trace_csv(path: Path, trace: bnb.RunTrace, objective) -> None:
              "simple_regret"]
         )
         for i in range(len(trace)):
-            regret = "" if fstar is None else _fmt(fstar - incumbents[i])
             writer.writerow(
                 [i + 1, *[_fmt(v) for v in trace.points[i]],
-                 _fmt(trace.values[i]), _fmt(incumbents[i]), regret]
+                 _fmt(trace.values[i]), _fmt(incumbents[i]), _fmt(regret[i])]
             )
 
 
@@ -214,18 +208,14 @@ def cmd_run(args) -> int:
     started = time.perf_counter()
     trace = _run_strategy("bnb", objective, settings, seed, grid)
     elapsed = time.perf_counter() - started
+    regret = bench.regret_series(trace, objective).simple
     settings.out_dir.mkdir(parents=True, exist_ok=True)
-    _write_trace_csv(settings.out_dir / "trace.csv", trace, objective)
+    _write_trace_csv(settings.out_dir / "trace.csv", trace, regret)
     _write_iterations_csv(
         settings.out_dir / "iterations.csv", trace, trace.points.shape[1]
     )
-    final_regret = (
-        float(objective.known_max_value - trace.incumbent_values[-1])
-        if objective.known_max_value is not None and len(trace)
-        else float("nan")
-    )
     print(
-        f"T={len(trace)} final_regret={final_regret:.6g} "
+        f"T={len(trace)} final_regret={float(regret[-1]):.6g} "
         f"truncated={trace.truncated} wall={elapsed:.2f}s"
     )
     return EXIT_OK
@@ -254,11 +244,11 @@ def cmd_compare(args) -> int:
         for seed in seeds:
             objective = built[seed]
             trace = _run_strategy(strategy, objective, settings, seed, grid)
+            series = bench.regret_series(trace, objective)
             _write_trace_csv(
                 settings.out_dir / f"{strategy}_seed{seed}_trace.csv",
-                trace, objective,
+                trace, series.simple,
             )
-            series = bench.regret_series(trace, objective)
             finals.append(float(series.simple[-1]))
             cumulatives.append(float(series.cumulative[-1]))
             try:
@@ -324,34 +314,32 @@ def cmd_verify(args) -> int:
             f"at_jitter_floor={floored} -> {'PASS' if ok else 'FAIL'}"
         )
         return EXIT_OK if ok else EXIT_CHECK_FAILED
-    if args.target == "envelope":
-        seeds = _parse_range(args.seeds, "seed")
-        n_seeds = len(seeds)
-        grid = settings.grid()
-        level = bench.enumeration_level(grid)
-        report = bench.envelope_experiment(
-            settings.spec, grid, level, args.alpha, n_seeds, budget=args.budget,
-            first_seed=seeds[0],
-        )
-        with (exp_dir / "envelope.csv").open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["seed", "max_envelope_ratio", "argmax_retained"])
-            for seed, ratio, kept in zip(
-                report.seeds, report.max_ratios, report.retained
-            ):
-                writer.writerow([seed, _fmt(ratio), int(kept)])
-        threshold = (
-            1.0 - args.alpha
-            - 3.0 * math.sqrt(args.alpha * (1.0 - args.alpha) / n_seeds)
-        )
-        ok = report.coverage >= threshold
-        print(
-            f"envelope: coverage={report.coverage:.4f} "
-            f"threshold={threshold:.4f} retention={report.retention:.4f} "
-            f"seeds={n_seeds} -> {'PASS' if ok else 'FAIL'}"
-        )
-        return EXIT_OK if ok else EXIT_CHECK_FAILED
-    raise ValueError(f"unknown verify target {args.target!r}")
+    seeds = _parse_range(args.seeds, "seed")
+    n_seeds = len(seeds)
+    grid = settings.grid()
+    level = bench.enumeration_level(grid)
+    report = bench.envelope_experiment(
+        settings.spec, grid, level, args.alpha, n_seeds, budget=args.budget,
+        first_seed=seeds[0],
+    )
+    with (exp_dir / "envelope.csv").open("w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["seed", "max_envelope_ratio", "argmax_retained"])
+        for seed, ratio, kept in zip(
+            report.seeds, report.max_ratios, report.retained
+        ):
+            writer.writerow([seed, _fmt(ratio), int(kept)])
+    threshold = (
+        1.0 - args.alpha
+        - 3.0 * math.sqrt(args.alpha * (1.0 - args.alpha) / n_seeds)
+    )
+    ok = report.coverage >= threshold
+    print(
+        f"envelope: coverage={report.coverage:.4f} "
+        f"threshold={threshold:.4f} retention={report.retention:.4f} "
+        f"seeds={n_seeds} -> {'PASS' if ok else 'FAIL'}"
+    )
+    return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

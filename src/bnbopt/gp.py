@@ -85,8 +85,8 @@ class GPPosterior:
         chol(S)^-1 (y_B - C^T whitened). Costs O(n^2 m + n m^2 + m^3) instead
         of a full refit; falls back to a refit (with jitter escalation) if S is
         not positive definite. Points closer than ``DUPLICATE_TOL`` to an
-        observed point or to each other are rejected. An empty block returns
-        this posterior.
+        observed point or to each other, and non-finite values, are rejected.
+        An empty block returns this posterior.
         """
         block = kernels.as_points(self.spec, points)
         n, m = len(self), block.shape[0]
@@ -95,6 +95,8 @@ class GPPosterior:
         vals = np.append(self.values, np.asarray(values, dtype=float))
         if vals.shape != (n + m,):
             raise ValueError("points and values must have matching lengths")
+        if not np.isfinite(vals[n:]).all():
+            raise ValueError("observed values must be finite")
         if m == 0:
             return self
         # K(X, B) over K(B, B): every entry is computed on its own, so one
@@ -152,8 +154,8 @@ def fit(spec: kernels.KernelSpec, points, values,
         jitter: float | None = None) -> GPPosterior:
     """Factor the jittered Gram matrix and whiten the values: L^-1 values.
 
-    ``points`` is (n, dim) with one value each; exact duplicate points raise
-    :class:`DuplicateObservationError`. ``jitter=None`` uses
+    ``points`` is (n, dim) with one finite value each; exact duplicate
+    points raise :class:`DuplicateObservationError`. ``jitter=None`` uses
     1e-10 * output_scale; a failed factorization escalates the jitter tenfold
     up to 1e-6 * output_scale before raising :class:`IllConditionedError`.
     """
@@ -165,24 +167,23 @@ def fit(spec: kernels.KernelSpec, points, values,
     vals = np.asarray(values, dtype=float)
     if vals.shape != (pts.shape[0],):
         raise ValueError("points and values must have matching lengths")
+    if not np.isfinite(vals).all():
+        raise ValueError("observed values must be finite")
     if pts.shape[0] > 1 and np.unique(pts, axis=0).shape[0] != pts.shape[0]:
         raise DuplicateObservationError(
             "observation points must be pairwise distinct"
         )
-    if pts.shape[0] == 0:
-        return GPPosterior(spec, pts, vals, float(jitter), np.zeros((0, 0)),
-                           np.zeros(0))
     K = kernels.pairwise(spec, pts, pts)
     chol, used = _factor(K, jitter, spec.output_scale, pts)
     whitened = solve_triangular(chol, vals, lower=True, check_finite=False)
     return GPPosterior(spec, pts, vals, used, chol, whitened)
 
 
-def sample_prior_on_grid(spec: kernels.KernelSpec, grid_points, seed: int,
-                         jitter: float | None = None) -> np.ndarray:
+def sample_prior_on_grid(spec: kernels.KernelSpec, grid_points,
+                         seed: int) -> np.ndarray:
     """One zero-mean prior draw at the given points, deterministic per seed."""
     pts = kernels.as_points(spec, grid_points)
-    prior = fit(spec, pts, np.zeros(pts.shape[0]), jitter)
+    prior = fit(spec, pts, np.zeros(pts.shape[0]))
     return prior_draw(prior, seed)
 
 

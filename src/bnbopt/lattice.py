@@ -9,7 +9,6 @@ import numpy as np
 
 from .errors import DimensionError, GridTooLargeError
 
-DEFAULT_MAX_LEVEL = 24
 _ENUM_CAP = 2_000_000
 
 
@@ -60,8 +59,8 @@ class DyadicGrid:
 
     lower: np.ndarray
     upper: np.ndarray
-    level: int = 0
-    max_level: int = DEFAULT_MAX_LEVEL
+    level: int
+    max_level: int
     # upper - lower and its norm, fixed by the box; every level divides them
     _span: tuple[float, ...] = field(init=False, repr=False, compare=False)
     _diag: float = field(init=False, repr=False, compare=False)
@@ -154,8 +153,6 @@ class DyadicGrid:
             h = span / scale
             a = max(math.floor((x - reach - lo) / h) - 1, 0)
             b = min(math.ceil((x + reach - lo) / h) + 1, top)
-            if a > b:
-                return None
             k_lo.append(a)
             k_hi.append(b)
         return k_lo, k_hi

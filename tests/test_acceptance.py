@@ -56,9 +56,10 @@ def regret_suite():
     # criteria 5 and 6 share this 20-seed suite on the level-10 lattice
     spec = suite_spec()
     grid = suite_grid(10)
+    prior = table_prior(spec, grid, 10)
     runs = []
     for seed in range(20):
-        objective = gp_sample_objective(table_prior(spec, grid, 10), seed=seed)
+        objective = gp_sample_objective(prior, seed=seed)
         config = RunConfig(alpha=SUITE_ALPHA, max_evaluations=SUITE_BUDGET,
                            seed=seed)
         bnb_trace = run(objective, spec, grid, config)

@@ -20,11 +20,15 @@ from bnbopt.bench import (
     RegretSeries,
 )
 from bnbopt import bench, bnb, gp, kernels
-from bnbopt.bnb import RunConfig, RunTrace, beta
-from bnbopt.errors import GridTooLargeError, InsufficientDataError
+from bnbopt.bnb import RunConfig, RunTrace, beta, initial_region
+from bnbopt.errors import (
+    GridTooLargeError,
+    IllConditionedError,
+    InsufficientDataError,
+)
 from bnbopt.gp import fit, sample_prior_on_grid
 from bnbopt.kernels import KernelSpec
-from bnbopt.lattice import DyadicGrid, point_keys
+from bnbopt.lattice import DyadicGrid, RegionBall, point_keys
 
 
 def spec_se(dim=1, ls=0.3, scale=1.0):
@@ -83,7 +87,7 @@ class TestGpSampleObjective:
             gp_sample_objective(table_prior(spec, grid, 10), seed=0)
 
 
-class TestValuesAt:
+class TestBatch:
     @pytest.mark.parametrize("dim, fine", [(1, 6), (2, 4)])
     def test_gp_sample_gather_is_the_calls_bitwise(self, dim, fine):
         spec, grid = spec_se(dim=dim), unit_grid(dim=dim, max_level=fine)
@@ -177,6 +181,10 @@ class TestQuadraticObjective:
             quadratic_objective([0.0], 1.0, 1.0, [0.0], [1.0])
         with pytest.raises(ValueError):
             quadratic_objective([1.5], 1.0, 1.0, [0.0], [1.0])
+
+    def test_flat_bowl_rejected(self):
+        with pytest.raises(ValueError, match="curvature must be strictly positive"):
+            quadratic_objective([0.5], 0.0, 1.0, [0.0], [1.0])
 
 
 class TestBoundaryMaxObjective:
@@ -345,6 +353,20 @@ class TestRandomRun:
         assert abs(hits / n - expected) <= tolerance
 
 
+@pytest.mark.parametrize("strategy, max_level, budget",
+                         [("bnb", 8, 50), ("ucb", 4, 17), ("random", 4, 17)])
+def test_every_strategy_rejects_a_nan_value(strategy, max_level, budget):
+    # every strategy evaluates the box centre within these budgets
+    obj = bench.Objective(np.zeros(1), np.ones(1),
+                          lambda x: math.nan if x[0] == 0.5 else float(x[0]))
+    grid, config = unit_grid(max_level=max_level), RunConfig(max_evaluations=budget)
+    runs = {"bnb": lambda: bnb.run(obj, spec_se(), grid, config),
+            "ucb": lambda: plain_ucb_run(obj, spec_se(), grid, config),
+            "random": lambda: random_run(obj, grid, config)}
+    with pytest.raises(ValueError, match="observed values must be finite"):
+        runs[strategy]()
+
+
 class TestRegretSeries:
     def _trace(self, values):
         pts = np.arange(len(values), dtype=float).reshape(-1, 1)
@@ -444,6 +466,28 @@ class TestVarianceBoundExperiment:
             with pytest.raises(ValueError, match="strictly ascending"):
                 variance_bound_experiment(spec_se(), [0.0], [1.0], levels)
 
+    def test_slope_of_one_level_is_nan(self):
+        res = variance_bound_experiment(spec_se(), [0.0], [1.0], [2])
+        assert res.levels == (2,)
+        assert math.isnan(res.slope)
+
+    def test_stops_at_the_first_unfactorizable_level(self, monkeypatch):
+        original = gp.fit
+        sizes = []
+
+        def failing_past_five_points(spec, points, values, jitter=None):
+            sizes.append(len(points))
+            if len(points) > 5:
+                raise IllConditionedError("forced", jitter=1e-6)
+            return original(spec, points, values, jitter)
+
+        monkeypatch.setattr(gp, "fit", failing_past_five_points)
+        # levels 1 and 2 have 3 and 5 points; level 3 fails, level 4 is not tried
+        res = variance_bound_experiment(spec_se(), [0.0], [1.0], [1, 2, 3, 4])
+        assert sizes == [3, 5, 9]
+        assert res.levels == (1, 2)
+        assert len(res.deltas) == len(res.sup_sigmas) == len(res.jitters) == 2
+
 
 @pytest.fixture(scope="module")
 def report():
@@ -469,6 +513,21 @@ class TestEnvelopeExperiment:
 
     def test_retention_at_least_coverage(self, report):
         assert report.retention >= report.coverage
+
+    @pytest.mark.parametrize("center, retained", [(0.75, True), (0.25, False)])
+    def test_audit_clears_retention_when_the_region_drops_the_argmax(
+            self, center, retained):
+        obj = bench.Objective(np.zeros(1), np.ones(1), lambda x: 0.0,
+                              np.array([0.875]), 0.0,
+                              batch=lambda pts: np.zeros(len(pts)))
+        audit = bench._EnvelopeAudit(obj, unit_grid())
+        region = RegionBall(np.array([center]), 0.25)
+        record = bnb.IterationRecord(1, 1, 0.5, 3, 3, 1.0, 0.0,
+                                     initial_region(unit_grid()), region, 1)
+        kept = np.array([[center]])
+        audit(bnb.ShrinkEvent(record, kept, np.zeros(1), np.ones(1), kept))
+        assert audit.retained is retained
+        assert audit.max_ratio == 0.0
 
     def test_audit_reuses_the_shrink_predictions(self, monkeypatch):
         calls = {"predict_batch": 0, "shrink": 0}

@@ -16,6 +16,7 @@ from bnbopt.bnb import (
     run,
     shrink,
 )
+from bnbopt.errors import DimensionError
 from bnbopt.gp import GPPosterior, fit
 from bnbopt.kernels import KernelSpec
 from bnbopt.lattice import DyadicGrid
@@ -321,6 +322,11 @@ class TestRun:
         with pytest.raises(ValueError):
             run(obj, spec_se(), unit_grid(), RunConfig())
 
+    def test_kernel_of_another_dimension_rejected(self):
+        with pytest.raises(DimensionError,
+                           match="kernel dimension 2 != grid dimension 1"):
+            run(constant_objective(0.0), spec_se(dim=2), unit_grid(), RunConfig())
+
 
 class TestRunInvariants:
     def _gp_run(self, seed, observer=None):
@@ -448,6 +454,11 @@ class TestTrace:
             tr.incumbent(0)
         with pytest.raises(IndexError):
             tr.incumbent(2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(ValueError, match="observed values must be finite"):
+            self._toy_trace([1.0, bad, 2.0])
 
 
 class TestRunConfig:

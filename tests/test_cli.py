@@ -130,6 +130,21 @@ class TestRun:
         assert "lines 1 and 4" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ("lattice.max_level 4\n", "malformed config line: 'lattice.max_level 4'"),
+        ("domain.lower = 0.0, 0.0\n", "domain bounds do not match --dim"),
+    ])
+    def test_malformed_config_is_usage_error(self, tmp_path, capsys, text,
+                                             message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "o"
+        code = run_cli("run", "--objective", "quadratic", "--budget", "30",
+                       "--config", str(cfg), "--out", str(out))
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCompare:
     def test_three_strategies_times_three_seeds(self, tmp_path):
@@ -204,6 +219,11 @@ class TestCompare:
         assert "got 0" in err
         assert "59049 points" in err and "20000-point" in err
 
+    def test_zero_seed_count_is_usage_error(self, tmp_path, capsys):
+        code = run_cli("compare", "--seeds", "0", "--out", str(tmp_path / "c"))
+        assert code == 2
+        assert "seed count must be positive" in capsys.readouterr().err
+
     def test_unknown_strategy_is_usage_error(self, tmp_path):
         assert run_cli("compare", "--strategies", "sgd",
                        "--out", str(tmp_path)) == 2
@@ -277,6 +297,19 @@ class TestVerify:
         assert "levels=[1, 2, 3] at_jitter_floor=[4, 5, 6, 7, 8, 9, 10]" in printed
         rows = read_csv(out / "variance" / "variance.csv")
         assert [int(r["level"]) for r in rows] == list(range(1, 11))
+
+    def test_output_scale_flag_scales_the_deviation(self, tmp_path):
+        # sigma scales with sqrt(output_scale), and scaling every Gram entry
+        # and the jitter by 4 is exact, so the deviations double bitwise
+        sigmas = []
+        for scale in ([], ["--output-scale", "4"]):
+            out = tmp_path / f"v{len(scale)}"
+            code = run_cli("verify", "variance", "--levels", "1..3", *scale,
+                           "--out", str(out))
+            assert code == 0
+            rows = read_csv(out / "variance" / "variance.csv")
+            sigmas.append(np.array([float(r["sup_sigma"]) for r in rows]))
+        assert np.array_equal(sigmas[1], 2.0 * sigmas[0])
 
     def test_variance_fails_outside_scaling_regime(self, tmp_path):
         # a lengthscale far below the coarse spacings leaves the deviations

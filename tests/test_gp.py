@@ -50,6 +50,11 @@ class TestFit:
         with pytest.raises(DuplicateObservationError):
             fit(spec_se(), np.array([[0.5], [0.5]]), np.array([1.0, 2.0]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(ValueError, match="observed values must be finite"):
+            fit(spec_se(), np.array([[0.1], [0.5]]), np.array([1.0, bad]))
+
     def test_empty_returns_prior(self):
         # the empty posterior takes predict_batch's general path
         spec = spec_se(scale=2.25)
@@ -343,6 +348,13 @@ class TestExtend:
             with pytest.raises(DuplicateObservationError):
                 fit(spec, np.zeros((0, 1)), np.zeros(0)).extend(
                     [[0.1], other], [1.0, 2.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_block_value_rejected(self, bad):
+        post = fit(spec_se(), np.array([[0.5]]), np.array([1.0]))
+        for block, values in (([[0.1]], [bad]), ([[0.1], [0.3]], [2.0, bad])):
+            with pytest.raises(ValueError, match="observed values must be finite"):
+                post.extend(block, values)
 
     def test_value_count_mismatch_rejected(self):
         post = fit(spec_se(), np.array([[0.5]]), np.array([1.0]))

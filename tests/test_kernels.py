@@ -48,6 +48,10 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             KernelSpec("se", 1.0, (-0.3,), 1)
 
+    def test_dim_must_be_positive(self):
+        with pytest.raises(ValueError, match="dim must be a positive integer"):
+            KernelSpec("se", 1.0, (), 0)
+
 
 class TestEvaluate:
     def test_self_covariance_is_output_scale(self):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bnbopt.errors import DimensionError
 from bnbopt.lattice import DyadicGrid, RegionBall, point_keys
 
 
@@ -26,11 +27,23 @@ def grid_offset(max_level=10):
 class TestConstruction:
     def test_bounds_must_be_ordered(self):
         with pytest.raises(ValueError):
-            DyadicGrid(np.array([1.0]), np.array([0.0]))
+            DyadicGrid(np.array([1.0]), np.array([0.0]), 0, 10)
 
     def test_level_within_cap(self):
         with pytest.raises(ValueError):
             DyadicGrid(np.array([0.0]), np.array([1.0]), level=5, max_level=4)
+
+    def test_bounds_must_match_in_shape(self):
+        with pytest.raises(ValueError, match="1-d arrays of equal shape"):
+            DyadicGrid(np.zeros(2), np.ones(3), 0, 10)
+
+    def test_max_level_at_least_one(self):
+        with pytest.raises(ValueError, match="max_level must be at least 1"):
+            DyadicGrid(np.array([0.0]), np.array([1.0]), 0, 0)
+
+    def test_region_center_is_one_point(self):
+        with pytest.raises(ValueError, match="center must be a 1-d point"):
+            RegionBall(np.array([[0.5]]), 0.1)
 
     def test_region_radius_nonnegative(self):
         with pytest.raises(ValueError):
@@ -137,6 +150,10 @@ class TestCoverPoints:
             grid_1d().cover_points(RegionBall(np.array([0.5]), 0.1), 0)
         with pytest.raises(ValueError):
             grid_1d().cover_points(RegionBall(np.array([0.5]), 0.1), 11)
+
+    def test_center_of_another_dimension_rejected(self):
+        with pytest.raises(DimensionError, match=r"shape \(2,\), expected \(1,\)"):
+            grid_1d().cover_points(RegionBall(np.array([0.5, 0.5]), 0.1), 2)
 
     def test_cover_soundness_random_probes(self):
         rng = np.random.default_rng(21)
