@@ -159,12 +159,14 @@ def plain_ucb_run(objective, spec: KernelSpec, grid: DyadicGrid,
 
     The posterior over the fixed lattice is carried across steps instead of
     re-predicted. Each evaluation appends one row to the factor L (through
-    the Schur step that `GPPosterior.extend` uses), to K(X, pts), to
-    V = L^-1 K(X, pts) and to a = L^-1 y. The mean V^T a gains a_n V[n] and
-    the variances fall by V[n] squared, so a step costs O(n m) instead of
-    O(n^2 m). When the Schur complement is not positive definite, the points
-    are refit with jitter escalation: L and a are the refit's ``chol`` and
-    ``whitened``, and V and the posterior are recomputed from the new factor.
+    the Schur step that `GPPosterior.extend` uses), to V = L^-1 K(X, pts)
+    and to a = L^-1 y. The step's Schur column K(X, x) is its kernel row
+    K(x, pts) read at the earlier picks, as kernel entries are symmetric bit
+    for bit. The mean V^T a gains a_n V[n] and the variances fall by V[n]
+    squared, so a step costs O(n m) instead of O(n^2 m). When the Schur
+    complement is not positive definite, the points are refit with jitter
+    escalation: L and a are the refit's ``chol`` and ``whitened``, and V and
+    the posterior are recomputed from the new factor.
     """
     level = enumeration_level(grid)
     pts = grid.points(level)
@@ -173,7 +175,6 @@ def plain_ucb_run(objective, spec: KernelSpec, grid: DyadicGrid,
     jitter = gp.fit(spec, np.zeros((0, grid.dim)), np.zeros(0), config.jitter).jitter
     steps = min(config.max_evaluations, len(pts))
     chol = np.zeros((steps, steps))
-    kx = np.zeros((steps, len(pts)))
     v = np.zeros((steps, len(pts)))
     a = np.zeros(steps)
     picks = np.zeros(steps, dtype=int)
@@ -190,13 +191,13 @@ def plain_ucb_run(objective, spec: KernelSpec, grid: DyadicGrid,
         values[n] = float(objective(x))
         picks[n] = pick
         available[pick] = False
-        kx[n] = kernels.pairwise(spec, x[None, :], pts)[0]
-        c, corner = gp._schur_step(chol[:n, :n], kx[:n, pick:pick + 1],
-                                   kx[n:n + 1, pick:pick + 1], jitter)
+        k = kernels.pairwise(spec, x[None, :], pts)[0]
+        c, corner = gp._schur_step(chol[:n, :n], k[picks[:n], None],
+                                   k[pick:pick + 1, None], jitter)
         if corner is not None:
             chol[n, :n] = c[:, 0]
             chol[n, n] = corner[0, 0]
-            v[n] = (kx[n] - chol[n, :n] @ v[:n]) / chol[n, n]
+            v[n] = (k - chol[n, :n] @ v[:n]) / chol[n, n]
             a[n] = (values[n] - chol[n, :n] @ a[:n]) / chol[n, n]
             mus += a[n] * v[n]
             var -= v[n] ** 2
@@ -204,8 +205,8 @@ def plain_ucb_run(objective, spec: KernelSpec, grid: DyadicGrid,
             post = gp.fit(spec, pts[picks[: n + 1]], values[: n + 1], jitter)
             jitter = post.jitter
             chol[: n + 1, : n + 1] = post.chol
-            v[: n + 1] = solve_triangular(post.chol, kx[: n + 1], lower=True,
-                                          check_finite=False)
+            k = kernels.pairwise(spec, post.points, pts)
+            v[: n + 1] = solve_triangular(post.chol, k, lower=True, check_finite=False)
             a[: n + 1] = post.whitened
             mus = v[: n + 1].T @ a[: n + 1]
             var = spec.output_scale - np.einsum("ij,ij->j", v[: n + 1], v[: n + 1])

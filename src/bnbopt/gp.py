@@ -68,8 +68,7 @@ class GPPosterior:
     def predict_batch(self, xs) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean/deviation over an (m, dim) array, both from one
         Fortran-order kernel block solved in place: v = L^-1 K(X, x)."""
-        x = kernels.as_points(self.spec, xs)
-        v = solve_triangular(self.chol, kernels.pairwise(self.spec, x, self.points).T,
+        v = solve_triangular(self.chol, kernels.pairwise(self.spec, xs, self.points).T,
                              lower=True, overwrite_b=True, check_finite=False)
         var = self.spec.output_scale - np.einsum("ij,ij->j", v, v)
         # negative roundoff clamped before the square root
@@ -84,21 +83,16 @@ class GPPosterior:
         Williams 2006, Alg. 2.1); ``whitened`` keeps its entries and gains
         chol(S)^-1 (y_B - C^T whitened). Costs O(n^2 m + n m^2 + m^3) instead
         of a full refit; falls back to a refit (with jitter escalation) if S is
-        not positive definite. Points closer than ``DUPLICATE_TOL`` to an
-        observed point or to each other, and non-finite values, are rejected.
-        An empty block returns this posterior.
+        not positive definite. The block is checked as :func:`fit` checks its
+        points, and against the observed points too. An empty block returns
+        this posterior.
         """
-        block = kernels.as_points(self.spec, points)
+        block, bvals = _check_new(self.spec, self.points, points, values)
         n, m = len(self), block.shape[0]
-        _check_new(self.points, block)
-        pts = np.vstack([self.points, block])
-        vals = np.append(self.values, np.asarray(values, dtype=float))
-        if vals.shape != (n + m,):
-            raise ValueError("points and values must have matching lengths")
-        if not np.isfinite(vals[n:]).all():
-            raise ValueError("observed values must be finite")
         if m == 0:
             return self
+        pts = np.vstack([self.points, block])
+        vals = np.append(self.values, bvals)
         # K(X, B) over K(B, B): every entry is computed on its own, so one
         # kernel block gives the bits of two
         kb = kernels.pairwise(self.spec, pts, block)
@@ -110,13 +104,23 @@ class GPPosterior:
         chol[n:, :n] = c.T
         chol[n:, n:] = corner
         whitened = np.append(self.whitened, solve_triangular(
-            corner, vals[n:] - c.T @ self.whitened, lower=True, check_finite=False))
+            corner, bvals - c.T @ self.whitened, lower=True, check_finite=False))
         return GPPosterior(self.spec, pts, vals, self.jitter, chol, whitened)
 
 
-def _check_new(observed: np.ndarray, block: np.ndarray) -> None:
-    """Reject a block with a point within ``DUPLICATE_TOL`` of an observed
-    point or of another point of the block."""
+def _check_new(spec: kernels.KernelSpec, observed: np.ndarray, points,
+               values) -> tuple[np.ndarray, np.ndarray]:
+    """A block of new observations as (m, dim) points and m values.
+
+    Rejects non-finite values, and a point within ``DUPLICATE_TOL`` of an
+    observed point or of another point of the block.
+    """
+    block = kernels.as_points(spec, points)
+    vals = np.asarray(values, dtype=float)
+    if vals.shape != (block.shape[0],):
+        raise ValueError("points and values must have matching lengths")
+    if not np.isfinite(vals).all():
+        raise ValueError("observed values must be finite")
     gap = math.inf
     if len(observed) and len(block):
         gap = float(cdist(observed, block).min())
@@ -126,6 +130,7 @@ def _check_new(observed: np.ndarray, block: np.ndarray) -> None:
         raise DuplicateObservationError(
             f"point already observed or repeated in the block (distance {gap:g})"
         )
+    return block, vals
 
 
 def _schur_step(chol: np.ndarray, k: np.ndarray, kbb: np.ndarray,
@@ -154,25 +159,17 @@ def fit(spec: kernels.KernelSpec, points, values,
         jitter: float | None = None) -> GPPosterior:
     """Factor the jittered Gram matrix and whiten the values: L^-1 values.
 
-    ``points`` is (n, dim) with one finite value each; exact duplicate
-    points raise :class:`DuplicateObservationError`. ``jitter=None`` uses
-    1e-10 * output_scale; a failed factorization escalates the jitter tenfold
-    up to 1e-6 * output_scale before raising :class:`IllConditionedError`.
+    ``points`` is (n, dim) with one finite value each; two points closer
+    than ``DUPLICATE_TOL`` raise :class:`DuplicateObservationError`, as in
+    :meth:`GPPosterior.extend`. ``jitter=None`` uses 1e-10 * output_scale;
+    a failed factorization escalates the jitter tenfold up to
+    1e-6 * output_scale before raising :class:`IllConditionedError`.
     """
     if jitter is None:
         jitter = DEFAULT_JITTER_FACTOR * spec.output_scale
     if jitter < 0.0:
         raise ValueError("jitter must be nonnegative")
-    pts = kernels.as_points(spec, points)
-    vals = np.asarray(values, dtype=float)
-    if vals.shape != (pts.shape[0],):
-        raise ValueError("points and values must have matching lengths")
-    if not np.isfinite(vals).all():
-        raise ValueError("observed values must be finite")
-    if pts.shape[0] > 1 and np.unique(pts, axis=0).shape[0] != pts.shape[0]:
-        raise DuplicateObservationError(
-            "observation points must be pairwise distinct"
-        )
+    pts, vals = _check_new(spec, np.zeros((0, spec.dim)), points, values)
     K = kernels.pairwise(spec, pts, pts)
     chol, used = _factor(K, jitter, spec.output_scale, pts)
     whitened = solve_triangular(chol, vals, lower=True, check_finite=False)

@@ -226,8 +226,7 @@ class TestDensify:
 
 
 def constant_objective(c, dim=1):
-    return Objective(np.zeros(dim), np.ones(dim), lambda x: c,
-                     None, None, {"name": "const"})
+    return Objective(np.zeros(dim), np.ones(dim), lambda x: c, None, None)
 
 
 class TestRun:

@@ -348,6 +348,8 @@ class TestExtend:
             with pytest.raises(DuplicateObservationError):
                 fit(spec, np.zeros((0, 1)), np.zeros(0)).extend(
                     [[0.1], other], [1.0, 2.0])
+            with pytest.raises(DuplicateObservationError):
+                fit(spec, [[0.1], other], [1.0, 2.0])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_block_value_rejected(self, bad):
@@ -362,6 +364,8 @@ class TestExtend:
             post.extend([[0.1], [0.3]], [1.0])
         with pytest.raises(ValueError, match="matching lengths"):
             post.extend([[0.1]], [1.0, 2.0])
+        with pytest.raises(ValueError, match="matching lengths"):
+            post.extend([[0.1]], [[1.0]])
 
     @pytest.mark.parametrize("block", [[[0.5 + 1e-9]], [[0.1], [0.5 + 1e-9]]])
     def test_indefinite_schur_complement_refits(self, block):
