@@ -318,7 +318,8 @@ def variance_bound_experiment(spec: KernelSpec, lower, upper,
     as a slope of exactly 2: Matern-5/2 measures about 2 on coarse levels,
     the analytic SE kernel measures steeper, and sup sigma stops falling
     near sqrt(jitter), about 1e-5 at the default jitter and unit output
-    scale. `VarianceScaling.above_floor` drops the levels at that floor.
+    scale. `VarianceScaling.above_floor` drops the levels at that floor. A
+    probe lattice over ENUMERATION_CAP points raises before any fit.
     """
     levels = [int(v) for v in levels]
     if not levels or any(b <= a for a, b in zip(levels, levels[1:])):
@@ -326,6 +327,10 @@ def variance_bound_experiment(spec: KernelSpec, lower, upper,
             f"levels must be non-empty and strictly ascending, got {levels}"
         )
     grid = DyadicGrid(lower, upper, 0, max(max(levels) + PROBE_REFINE, 1))
+    probes = grid.num_points(grid.max_level)
+    if probes > ENUMERATION_CAP:
+        raise GridTooLargeError(f"{probes} probe points at level {grid.max_level} "
+                                f"exceed the {ENUMERATION_CAP}-point enumeration cap")
     done: list[int] = []
     deltas: list[float] = []
     sups: list[float] = []
@@ -371,9 +376,8 @@ class _EnvelopeAudit:
 
     _INTERP_TOL = 1e-8
 
-    def __init__(self, objective, grid: DyadicGrid):
+    def __init__(self, objective):
         self.objective = objective
-        self.grid = grid
         self.max_ratio = 0.0
         self.retained = True
 
@@ -387,9 +391,7 @@ class _EnvelopeAudit:
         np.divide(resid, env, out=ratio, where=env > 0.0)
         self.max_ratio = max(self.max_ratio, float(ratio.max()))
         xstar = self.objective.known_max_point
-        if xstar is not None and not record.region_after.contains(
-            xstar, self.grid.lower, self.grid.upper
-        ):
+        if xstar is not None and not record.region_after.contains(xstar):
             self.retained = False
 
 
@@ -412,7 +414,7 @@ def envelope_experiment(spec: KernelSpec, grid: DyadicGrid, level: int,
     prior = table_prior(spec, grid, level)
     for i, seed in enumerate(seeds):
         objective = gp_sample_objective(prior, seed)
-        audit = _EnvelopeAudit(objective, prior.grid)
+        audit = _EnvelopeAudit(objective)
         config = RunConfig(alpha=alpha, max_evaluations=budget, seed=seed)
         run(objective, spec, prior.grid, config, observer=audit)
         ratios[i] = audit.max_ratio

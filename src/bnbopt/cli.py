@@ -93,6 +93,8 @@ class _Settings:
     def __init__(self, args):
         cfg = _read_config_file(args.config) if getattr(args, "config", None) else {}
         self.dim = args.dim if args.dim is not None else int(cfg.get("domain.dim", 1))
+        if self.dim < 1:
+            raise ValueError("--dim must be a positive integer")
         lower = cfg.get("domain.lower")
         upper = cfg.get("domain.upper")
         self.lower = np.asarray(
@@ -122,7 +124,9 @@ class _Settings:
         scales = _parse_floats(ls_text)
         if len(scales) == 1 and self.dim > 1:
             scales = scales * self.dim
-        self.spec = KernelSpec(family, scale, tuple(scales), self.dim)
+        if len(scales) != self.dim:
+            raise ValueError("lengthscales do not match --dim")
+        self.spec = KernelSpec(family, scale, tuple(scales))
         self.alpha = args.alpha
         self.budget = args.budget
         self.out_dir = Path(
@@ -133,24 +137,23 @@ class _Settings:
         return DyadicGrid(self.lower, self.upper, 0, self.max_level)
 
 
-def _table(name: str, settings: _Settings) -> bench.TablePrior | None:
-    """The gp-sample table at the deepest level within the enumeration cap,
-    one per command; runs on its grid hit the table only. None otherwise."""
-    if name != "gp-sample":
-        return None
+def _problem(name: str, settings: _Settings, seeds: list[int]
+             ) -> tuple[DyadicGrid, dict[int, bench.Objective]]:
+    """The lattice a command's runs use and each seed's objective. gp-sample
+    seeds share one table at the deepest level within the enumeration cap and
+    run on its lattice, the only points where a draw has values."""
     grid = settings.grid()
-    return bench.table_prior(settings.spec, grid, bench.enumeration_level(grid))
-
-
-def _build_objective(name: str, settings: _Settings, seed: int,
-                     table: bench.TablePrior | None) -> bench.Objective:
     if name == "gp-sample":
-        return bench.gp_sample_objective(table, seed)
+        table = bench.table_prior(settings.spec, grid, bench.enumeration_level(grid))
+        return table.grid, {seed: bench.gp_sample_objective(table, seed)
+                            for seed in seeds}
     if name == "quadratic":
         center = settings.lower + 0.5 * (settings.upper - settings.lower)
-        return bench.quadratic_objective(center, 1.0, 1.0, settings.lower,
-                                         settings.upper)
-    return bench.boundary_max_objective(settings.lower, settings.upper)
+        objective = bench.quadratic_objective(center, 1.0, 1.0, settings.lower,
+                                              settings.upper)
+    else:
+        objective = bench.boundary_max_objective(settings.lower, settings.upper)
+    return grid, dict.fromkeys(seeds, objective)
 
 
 def _run_strategy(strategy: str, objective, settings: _Settings, seed: int,
@@ -183,7 +186,8 @@ def _write_trace_csv(path: Path, trace: bnb.RunTrace, regret: np.ndarray) -> Non
             )
 
 
-def _write_iterations_csv(path: Path, trace: bnb.RunTrace, dim: int) -> None:
+def _write_iterations_csv(path: Path, trace: bnb.RunTrace) -> None:
+    dim = trace.points.shape[1]
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(
@@ -202,18 +206,15 @@ def _write_iterations_csv(path: Path, trace: bnb.RunTrace, dim: int) -> None:
 def cmd_run(args) -> int:
     settings = _Settings(args)
     seed = args.seed if args.seed is not None else 0
-    table = _table(args.objective, settings)
-    objective = _build_objective(args.objective, settings, seed, table)
-    grid = table.grid if table is not None else settings.grid()
+    grid, objectives = _problem(args.objective, settings, [seed])
+    objective = objectives[seed]
     started = time.perf_counter()
     trace = _run_strategy("bnb", objective, settings, seed, grid)
     elapsed = time.perf_counter() - started
     regret = bench.regret_series(trace, objective).simple
     settings.out_dir.mkdir(parents=True, exist_ok=True)
     _write_trace_csv(settings.out_dir / "trace.csv", trace, regret)
-    _write_iterations_csv(
-        settings.out_dir / "iterations.csv", trace, trace.points.shape[1]
-    )
+    _write_iterations_csv(settings.out_dir / "iterations.csv", trace)
     print(
         f"T={len(trace)} final_regret={float(regret[-1]):.6g} "
         f"truncated={trace.truncated} wall={elapsed:.2f}s"
@@ -233,16 +234,13 @@ def cmd_compare(args) -> int:
             raise ValueError(f"unknown strategy {s!r}; choose from {STRATEGIES}")
     seeds = _parse_range(args.seeds, "seed")
     settings.out_dir.mkdir(parents=True, exist_ok=True)
-    table = _table(args.objective, settings)
-    grid = table.grid if table is not None else settings.grid()
     # one objective per seed, shared by every strategy
-    built = {seed: _build_objective(args.objective, settings, seed, table)
-             for seed in seeds}
+    grid, objectives = _problem(args.objective, settings, seeds)
     summary_rows = []
     for strategy in strategies:
         finals, cumulatives, amps, rates, r2s = [], [], [], [], []
         for seed in seeds:
-            objective = built[seed]
+            objective = objectives[seed]
             trace = _run_strategy(strategy, objective, settings, seed, grid)
             series = bench.regret_series(trace, objective)
             _write_trace_csv(
@@ -319,8 +317,8 @@ def cmd_verify(args) -> int:
     grid = settings.grid()
     level = bench.enumeration_level(grid)
     report = bench.envelope_experiment(
-        settings.spec, grid, level, args.alpha, n_seeds, budget=args.budget,
-        first_seed=seeds[0],
+        settings.spec, grid, level, settings.alpha, n_seeds,
+        budget=settings.budget, first_seed=seeds[0],
     )
     with (exp_dir / "envelope.csv").open("w", newline="") as handle:
         writer = csv.writer(handle)
@@ -329,10 +327,8 @@ def cmd_verify(args) -> int:
             report.seeds, report.max_ratios, report.retained
         ):
             writer.writerow([seed, _fmt(ratio), int(kept)])
-    threshold = (
-        1.0 - args.alpha
-        - 3.0 * math.sqrt(args.alpha * (1.0 - args.alpha) / n_seeds)
-    )
+    alpha = settings.alpha
+    threshold = 1.0 - alpha - 3.0 * math.sqrt(alpha * (1.0 - alpha) / n_seeds)
     ok = report.coverage >= threshold
     print(
         f"envelope: coverage={report.coverage:.4f} "
@@ -400,7 +396,6 @@ def main(argv=None) -> int:
             parser.exit(EXIT_USAGE, f"bnbopt: error: {exc}\n")
         print(f"bnbopt: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -33,32 +33,32 @@ class KernelSpec:
     family: str
     output_scale: float
     lengthscales: tuple[float, ...]
-    dim: int
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(
                 f"unknown kernel family {self.family!r}; expected one of {FAMILIES}"
             )
-        if self.dim < 1:
-            raise ValueError("dim must be a positive integer")
         scales = tuple(float(v) for v in self.lengthscales)
         object.__setattr__(self, "lengthscales", scales)
         object.__setattr__(self, "output_scale", float(self.output_scale))
-        if len(scales) != self.dim:
-            raise ValueError(
-                f"expected {self.dim} lengthscales, got {len(scales)}"
-            )
-        if any(not v > 0.0 for v in scales):
-            raise ValueError("lengthscales must all be strictly positive")
-        if not self.output_scale > 0.0:
-            raise ValueError("output_scale must be strictly positive")
+        if not scales:
+            raise ValueError("dim must be a positive integer: no lengthscales")
+        if any(not 0.0 < v < math.inf for v in scales):
+            raise ValueError("lengthscales must all be finite and strictly positive")
+        if not 0.0 < self.output_scale < math.inf:
+            raise ValueError("output_scale must be finite and strictly positive")
+
+    @property
+    def dim(self) -> int:
+        """Input dimension: one lengthscale per axis."""
+        return len(self.lengthscales)
 
     @classmethod
     def isotropic(cls, family: str, dim: int, lengthscale: float,
                   output_scale: float = 1.0) -> "KernelSpec":
         """Spec with the same lengthscale on every axis."""
-        return cls(family, output_scale, (float(lengthscale),) * dim, dim)
+        return cls(family, output_scale, (float(lengthscale),) * dim)
 
 
 def as_point(spec: KernelSpec, x) -> np.ndarray:

@@ -24,7 +24,7 @@ def point_keys(points: np.ndarray):
 
 @dataclass(frozen=True)
 class RegionBall:
-    """Closed Euclidean ball; membership additionally clips to a domain box."""
+    """Closed Euclidean ball."""
 
     center: np.ndarray
     radius: float
@@ -38,11 +38,9 @@ class RegionBall:
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "radius", float(self.radius))
 
-    def contains(self, x, lower, upper) -> bool:
-        """True when x lies in the ball and inside the [lower, upper] box."""
+    def contains(self, x) -> bool:
+        """True when x lies in the ball."""
         p = np.asarray(x, dtype=float)
-        if np.any(p < lower) or np.any(p > upper):
-            return False
         return float(np.sqrt(((p - self.center) ** 2).sum())) <= self.radius
 
 
@@ -70,6 +68,8 @@ class DyadicGrid:
         up = np.asarray(self.upper, dtype=float)
         if lo.ndim != 1 or lo.shape != up.shape:
             raise ValueError("lower and upper must be 1-d arrays of equal shape")
+        if not (np.isfinite(lo).all() and np.isfinite(up).all()):
+            raise ValueError("lower and upper must be finite")
         if not np.all(lo < up):
             raise ValueError("lower must be strictly below upper componentwise")
         if self.max_level < 1:

@@ -302,7 +302,7 @@ class TestUcbMatchesReference:
                                       seeds, jitter)
 
     def test_bitwise_equal_traces_anisotropic_box(self, monkeypatch):
-        spec = KernelSpec("se", 1.0, (0.3, 0.6), 2)
+        spec = KernelSpec("se", 1.0, (0.3, 0.6))
         grid = DyadicGrid(np.array([-1.0, 0.0]), np.array([1.0, 2.0]), 0, 5)
         self.assert_matches_reference(monkeypatch, spec, grid, 5, 150, range(2),
                                       None)
@@ -520,7 +520,7 @@ class TestEnvelopeExperiment:
         obj = bench.Objective(np.zeros(1), np.ones(1), lambda x: 0.0,
                               np.array([0.875]), 0.0,
                               batch=lambda pts: np.zeros(len(pts)))
-        audit = bench._EnvelopeAudit(obj, unit_grid())
+        audit = bench._EnvelopeAudit(obj)
         region = RegionBall(np.array([center]), 0.25)
         record = bnb.IterationRecord(1, 1, 0.5, 3, 3, 1.0, 0.0,
                                      initial_region(unit_grid()), region, 1)
@@ -615,9 +615,7 @@ def reference_audit(self, event):
         )
     self.max_ratio = max(self.max_ratio, float(ratio.max()))
     xstar = self.objective.known_max_point
-    if xstar is not None and not record.region_after.contains(
-        xstar, self.grid.lower, self.grid.upper
-    ):
+    if xstar is not None and not record.region_after.contains(xstar):
         self.retained = False
 
 

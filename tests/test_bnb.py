@@ -446,6 +446,10 @@ class TestTrace:
         tr = self._toy_trace([1.0, 5.0, 5.0])
         point, _ = tr.incumbent(3)
         assert point[0] == 1.0
+        # -0.0 == 0.0, so the earliest keeps its sign bit in every incumbent
+        # value; np.maximum.accumulate would return +0.0 at the second step
+        signed = self._toy_trace([-0.0, 0.0])
+        assert signed.incumbent_values.tobytes() == np.array([-0.0, -0.0]).tobytes()
 
     def test_out_of_range(self):
         tr = self._toy_trace([1.0])

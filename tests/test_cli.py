@@ -38,6 +38,14 @@ class TestRun:
         assert len(iters) >= 1
         assert "region_radius" in iters[0]
 
+    def test_anisotropic_lengthscales_run(self, tmp_path):
+        out = tmp_path / "o"
+        code = run_cli("run", "--objective", "quadratic", "--dim", "2",
+                       "--lengthscale", "0.2,0.6", "--budget", "40",
+                       "--out", str(out))
+        assert code == 0
+        assert list(read_csv(out / "trace.csv")[0])[1:3] == ["x0", "x1"]
+
     def test_reruns_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -133,6 +141,10 @@ class TestRun:
     @pytest.mark.parametrize("text, message", [
         ("lattice.max_level 4\n", "malformed config line: 'lattice.max_level 4'"),
         ("domain.lower = 0.0, 0.0\n", "domain bounds do not match --dim"),
+        ("domain.upper = inf\n", "lower and upper must be finite"),
+        ("kernel.lengthscales = 0.2, 0.6\n", "lengthscales do not match --dim"),
+        ("kernel.output_scale = inf\n", "output_scale must be finite"),
+        ("domain.dim = 0\n", "--dim must be a positive integer"),
     ])
     def test_malformed_config_is_usage_error(self, tmp_path, capsys, text,
                                              message):
@@ -317,6 +329,20 @@ class TestVerify:
         code = run_cli("verify", "variance", "--levels", "1..3",
                        "--lengthscale", "0.05", "--out", str(tmp_path / "v"))
         assert code == 3
+
+    def test_variance_probe_lattice_over_the_cap_fails_before_fitting(
+            self, tmp_path, monkeypatch, capsys):
+        # level 13's probes lie on the 2^15 + 1 point level-15 lattice
+        def refuse(*args, **kwargs):
+            raise AssertionError("fit before the size check")
+
+        monkeypatch.setattr(gp, "fit", refuse)
+        code = run_cli("verify", "variance", "--levels", "1..13",
+                       "--out", str(tmp_path / "v"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "GridTooLargeError" in err
+        assert "32769 probe points" in err and "20000-point" in err
 
     def test_variance_bad_level_lists_are_usage_errors(self, tmp_path, capsys):
         # a repeated level and an empty range are bad input, not a failed check

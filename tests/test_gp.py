@@ -165,10 +165,10 @@ class TestPredict:
         rng = np.random.default_rng(90 + dim)
         n, m = 240, 1200
         if dim == 1:
-            spec = KernelSpec(family, 1.7, (0.01,), 1)
+            spec = KernelSpec(family, 1.7, (0.01,))
             pts = rng.permutation(np.linspace(0.0, 1.0, n))[:, None]
         else:
-            spec = KernelSpec(family, 1.7, (0.15, 0.3, 0.6), 3)
+            spec = KernelSpec(family, 1.7, (0.15, 0.3, 0.6))
             pts = rng.uniform(0.0, 1.0, size=(n, 3))
         post = fit(spec, pts, rng.normal(size=n))
         x = rng.uniform(-0.1, 1.1, size=(m, dim))
@@ -183,7 +183,7 @@ class TestPredict:
 
     def test_one_pairwise_call(self, monkeypatch):
         rng = np.random.default_rng(94)
-        spec = KernelSpec("se", 1.0, (0.15, 0.3), 2)
+        spec = KernelSpec("se", 1.0, (0.15, 0.3))
         post = fit(spec, rng.uniform(0.0, 1.0, size=(30, 2)), rng.normal(size=30))
         calls = []
 
@@ -198,7 +198,7 @@ class TestPredict:
     def test_holds_one_kernel_block(self):
         rng = np.random.default_rng(93)
         n, m = 600, 3000
-        spec = KernelSpec("se", 1.0, (0.15, 0.3, 0.6), 3)
+        spec = KernelSpec("se", 1.0, (0.15, 0.3, 0.6))
         post = fit(spec, rng.uniform(0.0, 1.0, size=(n, 3)), rng.normal(size=n))
         x = rng.uniform(0.0, 1.0, size=(m, 3))
         tracemalloc.start()
@@ -393,7 +393,7 @@ class TestExtend:
         # extend takes K(X, B) and K(B, B) as the row blocks of one
         # K([X; B], B); the reference builds them with two calls
         rng = np.random.default_rng(70 + dim)
-        spec = KernelSpec(family, 1.3, tuple(rng.uniform(0.2, 0.8, dim)), dim)
+        spec = KernelSpec(family, 1.3, tuple(rng.uniform(0.2, 0.8, dim)))
         pts = _separated_points(rng, 24, dim, 0.02 if dim == 1 else 0.2)
         vals = rng.normal(size=len(pts))
         post = fit(spec, np.zeros((0, dim)), np.zeros(0))

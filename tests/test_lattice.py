@@ -33,6 +33,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             DyadicGrid(np.array([0.0]), np.array([1.0]), level=5, max_level=4)
 
+    @pytest.mark.parametrize("lower, upper", [([0.0], [math.inf]),
+                                              ([math.nan], [1.0])])
+    def test_bounds_must_be_finite(self, lower, upper):
+        # checked before the ordering, which a NaN or an infinity can pass
+        with pytest.raises(ValueError, match="lower and upper must be finite"):
+            DyadicGrid(np.array(lower), np.array(upper), 0, 3)
+
     def test_bounds_must_match_in_shape(self):
         with pytest.raises(ValueError, match="1-d arrays of equal shape"):
             DyadicGrid(np.zeros(2), np.ones(3), 0, 10)
@@ -163,7 +170,7 @@ class TestCoverPoints:
         hits = 0
         while hits < 100:
             probe = rng.uniform(0, 1, size=2)
-            if not region.contains(probe, g.lower, g.upper):
+            if not region.contains(probe):
                 continue
             hits += 1
             nearest = np.sqrt(((cover - probe) ** 2).sum(axis=1)).min()
@@ -208,12 +215,11 @@ def test_point_keys_are_the_row_tuples(shape):
 
 
 class TestRegionBall:
-    def test_membership_includes_box_clipping(self):
+    def test_membership_is_the_closed_ball(self):
         ball = RegionBall(np.array([0.1, 0.1]), 0.5)
-        lower, upper = np.zeros(2), np.ones(2)
-        assert ball.contains(np.array([0.3, 0.3]), lower, upper)
-        assert not ball.contains(np.array([-0.1, 0.1]), lower, upper)  # off box
-        assert not ball.contains(np.array([0.9, 0.9]), lower, upper)  # off ball
+        assert ball.contains(np.array([0.3, 0.3]))
+        assert ball.contains(np.array([0.6, 0.1]))  # on the sphere
+        assert not ball.contains(np.array([0.9, 0.9]))  # off ball
 
 
 def test_enumeration_beyond_cap_rejected():

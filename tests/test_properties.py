@@ -30,7 +30,6 @@ def problems(draw):
         draw(st.sampled_from(FAMILIES)),
         draw(st.floats(0.5, 2.0)),
         tuple(draw(st.floats(0.1, 1.0)) for _ in range(dim)),
-        dim,
     )
     max_level = draw(st.integers(3, 10 if dim <= 2 else 6))
     grid = DyadicGrid(lower, upper, 0, max_level)
@@ -69,7 +68,7 @@ def test_evaluated_points_in_region_are_shrink_candidates(problem):
         assert len({p.tobytes() for p in evaluated}) == rec.T_after
         candidates = {c.tobytes() for c in event.candidates}
         for p in evaluated:
-            if rec.region_before.contains(p, grid.lower, grid.upper):
+            if rec.region_before.contains(p):
                 assert p.tobytes() in candidates
 
 
