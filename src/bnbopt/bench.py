@@ -8,6 +8,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 from . import gp, kernels
 from .bnb import RunConfig, RunTrace, ShrinkEvent, beta, run
@@ -158,15 +159,18 @@ def plain_ucb_run(objective, spec: KernelSpec, grid: DyadicGrid,
     Stops when the budget is spent or the lattice is exhausted.
 
     The posterior over the fixed lattice is carried across steps instead of
-    re-predicted. Each evaluation appends one row to the factor L (through
-    the Schur step that `GPPosterior.extend` uses), to V = L^-1 K(X, pts)
-    and to a = L^-1 y. The step's Schur column K(X, x) is its kernel row
-    K(x, pts) read at the earlier picks, as kernel entries are symmetric bit
-    for bit. The mean V^T a gains a_n V[n] and the variances fall by V[n]
-    squared, so a step costs O(n m) instead of O(n^2 m). When the Schur
-    complement is not positive definite, the points are refit with jitter
-    escalation: L and a are the refit's ``chol`` and ``whitened``, and V and
-    the posterior are recomputed from the new factor.
+    re-predicted. Each evaluation appends one row to the factor L, to
+    V = L^-1 K(X, pts) and to a = L^-1 y. The step's Schur column K(X, x) is
+    its kernel row K(x, pts) read at the earlier picks, as kernel entries are
+    symmetric bit for bit. C = L^-1 K(X, x) is one LAPACK ``dtrtrs`` solve on
+    the factor buffer itself, with no copy of its leading block, and the new
+    row is [C^T, sqrt(s)] for the scalar Schur complement
+    s = k(x, x) + jitter - C^T C: the bits `GPPosterior.extend` would give.
+    The mean V^T a gains a_n V[n] and the variances fall by V[n] squared, so
+    a step costs O(n m) instead of O(n^2 m). When s <= 0 (where a 1x1
+    Cholesky fails too), the points are refit with jitter escalation: L and
+    a are the refit's ``chol`` and ``whitened``, and V and the posterior are
+    recomputed from the new factor.
     """
     level = enumeration_level(grid)
     pts = grid.points(level)
@@ -181,22 +185,32 @@ def plain_ucb_run(objective, spec: KernelSpec, grid: DyadicGrid,
     values = np.zeros(steps)
     mus = np.zeros(len(pts))
     var = np.full(len(pts), spec.output_scale)
-    available = np.ones(len(pts), dtype=bool)
+    score = np.empty(len(pts))
     for n in range(steps):
         root = math.sqrt(beta(n + 1, lattice_size, config.alpha))
-        score = np.where(available, mus + root * np.sqrt(np.clip(var, 0.0, None)),
-                         -np.inf)
+        np.maximum(var, 0.0, out=score)
+        np.sqrt(score, out=score)
+        score *= root
+        score += mus
+        score[picks[:n]] = -np.inf
         pick = int(np.argmax(score))
         x = pts[pick]
         values[n] = float(objective(x))
         picks[n] = pick
-        available[pick] = False
         k = kernels.pairwise(spec, x[None, :], pts)[0]
-        c, corner = gp._schur_step(chol[:n, :n], k[picks[:n], None],
-                                   k[pick:pick + 1, None], jitter)
-        if corner is not None:
+        c = k[picks[:n], None]
+        if n:  # dtrtrs rejects an empty right-hand side
+            # chol.T[:, :n] holds L[:n, :n]^T in Fortran order with
+            # lda = steps, so LAPACK reads the buffer in place: the call
+            # solve_triangular makes after copying the block. The factor's
+            # diagonal is positive, so info is 0
+            c, _ = dtrtrs(chol.T[:, :n], c, lower=0, trans=1, overwrite_b=1)
+        # the 1x1 Schur complement: s > 0.0 exactly where its Cholesky
+        # succeeds, and sqrt(s) is that Cholesky bit for bit
+        s = (float(k[pick]) + jitter) - float((c.T @ c)[0, 0])
+        if s > 0.0:
             chol[n, :n] = c[:, 0]
-            chol[n, n] = corner[0, 0]
+            chol[n, n] = math.sqrt(s)
             v[n] = (k - chol[n, :n] @ v[:n]) / chol[n, n]
             a[n] = (values[n] - chol[n, :n] @ a[:n]) / chol[n, n]
             mus += a[n] * v[n]

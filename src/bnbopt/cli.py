@@ -179,11 +179,11 @@ def _write_trace_csv(path: Path, trace: bnb.RunTrace, regret: np.ndarray) -> Non
             ["t", *[f"x{i}" for i in range(dim)], "value", "incumbent_value",
              "simple_regret"]
         )
-        for i in range(len(trace)):
-            writer.writerow(
-                [i + 1, *[_fmt(v) for v in trace.points[i]],
-                 _fmt(trace.values[i]), _fmt(incumbents[i]), _fmt(regret[i])]
-            )
+        # tolist gives Python floats, whose repr is what _fmt writes
+        rows = zip(range(1, len(trace) + 1), trace.points.tolist(),
+                   trace.values.tolist(), incumbents.tolist(), regret.tolist())
+        writer.writerows([t, *map(repr, point), repr(value), repr(best), repr(gap)]
+                         for t, point, value, best, gap in rows)
 
 
 def _write_iterations_csv(path: Path, trace: bnb.RunTrace) -> None:

@@ -76,12 +76,18 @@ class DyadicGrid:
             raise ValueError("max_level must be at least 1")
         if not 0 <= self.level <= self.max_level:
             raise ValueError("level must lie in [0, max_level]")
+        # finite bounds can still be too far apart for a float; say so here,
+        # not through the inf or nan that would follow
+        with np.errstate(over="ignore"):
+            span = up - lo
+            # np.linalg.norm of a real vector is sqrt(x.dot(x)), without its overhead
+            diag = math.sqrt(span.dot(span))
+        if not math.isfinite(diag):
+            raise ValueError("upper - lower overflows: the box is too wide for floats")
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", up)
-        span = up - lo
         object.__setattr__(self, "_span", tuple(span.tolist()))
-        # np.linalg.norm of a real vector is sqrt(x.dot(x)), without its overhead
-        object.__setattr__(self, "_diag", math.sqrt(span.dot(span)))
+        object.__setattr__(self, "_diag", diag)
 
     @property
     def dim(self) -> int:

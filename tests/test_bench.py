@@ -293,6 +293,10 @@ class TestUcbMatchesReference:
         ("se", 2, 0.4, 5, 5, 150, range(3), None),
         # zero jitter makes the Schur complement fail, so the baseline refits
         ("se", 1, 0.3, 8, 8, 60, range(6), 0.0),
+        # the budget exhausts the 33-point lattice: the last Schur complements
+        # are the smallest the baseline meets
+        ("se", 1, 0.3, 5, 5, 40, range(3), None),
+        ("matern52", 1, 0.2, 5, 5, 40, range(3), None),
     ])
     def test_bitwise_equal_traces(self, monkeypatch, family, dim, ls, level,
                                   table, budget, seeds, jitter):
@@ -321,11 +325,42 @@ class TestUcbMatchesReference:
 
         monkeypatch.setattr(gp.GPPosterior, "extend", counted_extend)
         sizes = counting_fits(monkeypatch)
+        # a per-step factor copy or 1x1 Cholesky would show here
+        choleskys, solves = [], []
+        original_cholesky = np.linalg.cholesky
+        original_solve = bench.solve_triangular
+
+        def counted_cholesky(a, *args, **kwargs):
+            choleskys.append(np.shape(a))
+            return original_cholesky(a, *args, **kwargs)
+
+        def counted_solve(*args, **kwargs):
+            solves.append(len(args[0]))
+            return original_solve(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+        monkeypatch.setattr(bench, "solve_triangular", counted_solve)
         trace = plain_ucb_run(obj, spec, grid,
                               RunConfig(alpha=0.1, max_evaluations=200))
         assert len(trace) == 200
         assert extends == []
         assert sizes == [0]
+        assert choleskys == [(0, 0)]  # the empty fit's
+        assert solves == []
+
+    @pytest.mark.parametrize("s", [1.0, 1e-10, 1e-300, 5e-324, 0.0, -0.0,
+                                   -1e-300, -1.0, math.inf])
+    def test_scalar_corner_is_the_1x1_cholesky(self, s):
+        # the baseline factors its 1x1 Schur complement as sqrt(s) when s > 0
+        corner = math.sqrt(s) if s > 0.0 else None
+        try:
+            expected = float(np.linalg.cholesky(np.array([[s]]))[0, 0])
+        except np.linalg.LinAlgError:
+            expected = None
+        if expected is None:
+            assert corner is None
+        else:
+            assert np.float64(corner).tobytes() == np.float64(expected).tobytes()
 
 
 class TestRandomRun:

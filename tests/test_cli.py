@@ -142,6 +142,7 @@ class TestRun:
         ("lattice.max_level 4\n", "malformed config line: 'lattice.max_level 4'"),
         ("domain.lower = 0.0, 0.0\n", "domain bounds do not match --dim"),
         ("domain.upper = inf\n", "lower and upper must be finite"),
+        ("domain.lower = -1e308\ndomain.upper = 1e308\n", "upper - lower overflows"),
         ("kernel.lengthscales = 0.2, 0.6\n", "lengthscales do not match --dim"),
         ("kernel.output_scale = inf\n", "output_scale must be finite"),
         ("domain.dim = 0\n", "--dim must be a positive integer"),

@@ -40,6 +40,13 @@ class TestConstruction:
         with pytest.raises(ValueError, match="lower and upper must be finite"):
             DyadicGrid(np.array(lower), np.array(upper), 0, 3)
 
+    @pytest.mark.parametrize("lower, upper", [([-1e308], [1e308]),
+                                              ([0.0, 0.0], [1e200, 1e200])])
+    def test_span_must_not_overflow(self, lower, upper):
+        # finite bounds whose span, or the span's norm, is not a float
+        with pytest.raises(ValueError, match="upper - lower overflows"):
+            DyadicGrid(np.array(lower), np.array(upper), 0, 3)
+
     def test_bounds_must_match_in_shape(self):
         with pytest.raises(ValueError, match="1-d arrays of equal shape"):
             DyadicGrid(np.zeros(2), np.ones(3), 0, 10)
