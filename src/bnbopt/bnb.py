@@ -227,7 +227,8 @@ def run(objective, spec: KernelSpec, grid: DyadicGrid, config: RunConfig,
 
     Terminates when the region's radius hits zero, the evaluation budget is
     spent (truncated if that happens mid densify), or the finest level has
-    been sampled. Deterministic for a fixed configuration.
+    been sampled. Deterministic for a fixed configuration. An objective
+    with a box (``lower``, ``upper``) must have exactly the grid's box.
     """
     if spec.dim != grid.dim:
         raise DimensionError(
@@ -235,8 +236,8 @@ def run(objective, spec: KernelSpec, grid: DyadicGrid, config: RunConfig,
         )
     obj_lower = getattr(objective, "lower", None)
     if obj_lower is not None and not (
-        np.allclose(obj_lower, grid.lower)
-        and np.allclose(objective.upper, grid.upper)
+        np.array_equal(obj_lower, grid.lower)
+        and np.array_equal(objective.upper, grid.upper)
     ):
         raise ValueError("objective domain does not match the grid domain")
     if config.max_level is not None and config.max_level != grid.max_level:

@@ -44,7 +44,10 @@ def _fmt(value: float) -> str:
 
 
 def _parse_floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+    toks = text.split(",")
+    if any(tok.strip() == "" for tok in toks):
+        raise ValueError(f"empty entry in list {text!r}")
+    return [float(tok) for tok in toks]
 
 
 def _parse_range(text: str, what: str) -> list[int]:

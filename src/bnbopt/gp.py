@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 from scipy.spatial.distance import cdist, pdist
 
 from . import kernels
@@ -15,6 +15,23 @@ from .errors import DuplicateObservationError, IllConditionedError
 DEFAULT_JITTER_FACTOR = 1e-10
 JITTER_CAP_FACTOR = 1e-6
 DUPLICATE_TOL = 1e-12
+
+
+def _solve_lower(chol: np.ndarray, b: np.ndarray,
+                 overwrite_b: bool = False) -> np.ndarray:
+    """L^-1 b for a C-order lower factor L, with the bits of
+    ``solve_triangular(chol, b, lower=True)``.
+
+    ``chol.T`` is L^T in Fortran order, so this is the one LAPACK call that
+    ``solve_triangular`` makes for a C-order factor, without its argument
+    checks. ``dtrtrs`` rejects an empty factor, and OpenBLAS says so on the
+    C stdout, so an empty factor or right-hand side returns zeros of b's
+    shape without the call. The factor's diagonal is positive, so info is 0.
+    """
+    if b.size == 0:
+        return np.zeros(b.shape)
+    x, _ = dtrtrs(chol.T, b, lower=0, trans=1, overwrite_b=overwrite_b)
+    return x
 
 
 def _factor(K: np.ndarray, jitter: float, scale: float, points: np.ndarray):
@@ -68,11 +85,12 @@ class GPPosterior:
     def predict_batch(self, xs) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean/deviation over an (m, dim) array, both from one
         Fortran-order kernel block solved in place: v = L^-1 K(X, x)."""
-        v = solve_triangular(self.chol, kernels.pairwise(self.spec, xs, self.points).T,
-                             lower=True, overwrite_b=True, check_finite=False)
+        v = _solve_lower(self.chol, kernels.pairwise(self.spec, xs, self.points).T,
+                         overwrite_b=True)
         var = self.spec.output_scale - np.einsum("ij,ij->j", v, v)
-        # negative roundoff clamped before the square root
-        return v.T @ self.whitened, np.sqrt(np.clip(var, 0.0, None))
+        # negative roundoff clamped before the square root, in place
+        np.maximum(var, 0.0, out=var)
+        return v.T @ self.whitened, np.sqrt(var, out=var)
 
     def extend(self, points, values) -> "GPPosterior":
         """Posterior with a block of m extra observations, via a block factor append.
@@ -91,8 +109,8 @@ class GPPosterior:
         n, m = len(self), block.shape[0]
         if m == 0:
             return self
-        pts = np.vstack([self.points, block])
-        vals = np.append(self.values, bvals)
+        pts = np.concatenate([self.points, block])
+        vals = np.concatenate([self.values, bvals])
         # K(X, B) over K(B, B): every entry is computed on its own, so one
         # kernel block gives the bits of two
         kb = kernels.pairwise(self.spec, pts, block)
@@ -103,8 +121,8 @@ class GPPosterior:
         chol[:n, :n] = self.chol
         chol[n:, :n] = c.T
         chol[n:, n:] = corner
-        whitened = np.append(self.whitened, solve_triangular(
-            corner, bvals - c.T @ self.whitened, lower=True, check_finite=False))
+        whitened = np.concatenate(
+            [self.whitened, _solve_lower(corner, bvals - c.T @ self.whitened)])
         return GPPosterior(self.spec, pts, vals, self.jitter, chol, whitened)
 
 
@@ -142,7 +160,7 @@ def _schur_step(chol: np.ndarray, k: np.ndarray, kbb: np.ndarray,
     its place when that complement is not positive definite. The new factor
     is [[L, 0], [C^T, corner]].
     """
-    c = solve_triangular(chol, k, lower=True, check_finite=False)
+    c = _solve_lower(chol, k)
     # one m x m buffer; kbb may be a view into a caller's array. Adding the
     # jitter to the diagonal alone gives the bits of kbb + jitter*I, as
     # kernel entries are >= +0.0
@@ -172,7 +190,7 @@ def fit(spec: kernels.KernelSpec, points, values,
     pts, vals = _check_new(spec, np.zeros((0, spec.dim)), points, values)
     K = kernels.pairwise(spec, pts, pts)
     chol, used = _factor(K, jitter, spec.output_scale, pts)
-    whitened = solve_triangular(chol, vals, lower=True, check_finite=False)
+    whitened = _solve_lower(chol, vals)
     return GPPosterior(spec, pts, vals, used, chol, whitened)
 
 

@@ -321,6 +321,13 @@ class TestRun:
         with pytest.raises(ValueError):
             run(obj, spec_se(), unit_grid(), RunConfig())
 
+    def test_domain_must_match_exactly(self):
+        off = quadratic_objective([0.5], 1.0, 1.0, [0.0], [1.0 + 1e-9])
+        with pytest.raises(ValueError, match="objective domain does not match"):
+            run(off, spec_se(), unit_grid(max_level=4), RunConfig())
+        same = quadratic_objective([0.5], 1.0, 1.0, [0.0], [1.0])
+        assert len(run(same, spec_se(), unit_grid(max_level=4), RunConfig())) > 0
+
     def test_kernel_of_another_dimension_rejected(self):
         with pytest.raises(DimensionError,
                            match="kernel dimension 2 != grid dimension 1"):

@@ -146,6 +146,8 @@ class TestRun:
         ("kernel.lengthscales = 0.2, 0.6\n", "lengthscales do not match --dim"),
         ("kernel.output_scale = inf\n", "output_scale must be finite"),
         ("domain.dim = 0\n", "--dim must be a positive integer"),
+        ("domain.dim = 2\ndomain.lower = 0,,0\n", "empty entry in list '0,,0'"),
+        ("kernel.lengthscales = 0.3,\n", "empty entry in list '0.3,'"),
     ])
     def test_malformed_config_is_usage_error(self, tmp_path, capsys, text,
                                              message):
@@ -156,6 +158,19 @@ class TestRun:
                        "--config", str(cfg), "--out", str(out))
         assert code == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, text", [
+        (("--dim", "2", "--lengthscale", "0.3,,0.4"), "0.3,,0.4"),
+        (("--lengthscale", "0.3,"), "0.3,"),
+        (("--lengthscale", ",0.3"), ",0.3"),
+    ])
+    def test_empty_list_entry_is_usage_error(self, tmp_path, capsys, flags, text):
+        out = tmp_path / "o"
+        code = run_cli("run", "--objective", "quadratic", "--budget", "30",
+                       *flags, "--out", str(out))
+        assert code == 2
+        assert f"empty entry in list {text!r}" in capsys.readouterr().err
         assert not out.exists()
 
 

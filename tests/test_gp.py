@@ -12,6 +12,7 @@ from bnbopt.errors import DuplicateObservationError, IllConditionedError
 from bnbopt.gp import (
     _factor,
     _schur_step,
+    _solve_lower,
     fit,
     sample_prior_on_grid,
 )
@@ -109,6 +110,42 @@ class TestFit:
             _factor(bad, 1e-10, 1.0, pts)
         assert err.value.min_pair_distance == pytest.approx(0.125)
         assert "0.125" in str(err.value)
+
+
+class TestSolveLower:
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 37, 200])
+    @pytest.mark.parametrize("layout, m", [("1-D", 1)] + [
+        (layout, m) for layout in ("C", "F") for m in (0, 1, 3, 65)])
+    def test_bits_of_solve_triangular(self, n, layout, m):
+        rng = np.random.default_rng(100 * n + m)
+        a = rng.normal(size=(n, n + 3))
+        chol = np.linalg.cholesky(a @ a.T + 1e-3 * np.eye(n))
+        shape = (n,) if layout == "1-D" else (n, m)
+        b = np.asarray(rng.normal(size=shape), order="F" if layout == "F" else "C")
+        want = solve_triangular(chol, b, lower=True, check_finite=False)
+        for overwrite in (False, True):
+            got = _solve_lower(chol, b.copy(order="K"), overwrite_b=overwrite)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_keeps_b_unless_told(self):
+        rng = np.random.default_rng(5)
+        chol = np.linalg.cholesky(np.eye(4) + 0.1)
+        b = np.asfortranarray(rng.normal(size=(4, 3)))
+        before = b.copy()
+        _solve_lower(chol, b)
+        assert np.array_equal(b, before)
+
+    def test_empty_paths_print_nothing(self, capfd):
+        # dtrtrs reports an empty factor through OpenBLAS's XERBLA, which
+        # prints to the C stdout, not stderr: check both file descriptors
+        spec = spec_se()
+        empty = fit(spec, np.zeros((0, 1)), np.zeros(0))
+        empty.predict_batch(np.array([[0.3], [0.6]]))
+        post = empty.extend(np.array([[0.2], [0.7]]), np.array([1.0, -1.0]))
+        mus, sigmas = post.predict_batch(np.zeros((0, 1)))
+        assert mus.shape == sigmas.shape == (0,)
+        assert capfd.readouterr() == ("", "")
 
 
 class TestPredict:
