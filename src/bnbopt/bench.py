@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dtrtrs
 
 from . import gp, kernels
@@ -220,7 +219,7 @@ def plain_ucb_run(objective, spec: KernelSpec, grid: DyadicGrid,
             jitter = post.jitter
             chol[: n + 1, : n + 1] = post.chol
             k = kernels.pairwise(spec, post.points, pts)
-            v[: n + 1] = solve_triangular(post.chol, k, lower=True, check_finite=False)
+            v[: n + 1] = gp._solve_lower(post.chol, k)
             a[: n + 1] = post.whitened
             mus = v[: n + 1].T @ a[: n + 1]
             var = spec.output_scale - np.einsum("ij,ij->j", v[: n + 1], v[: n + 1])

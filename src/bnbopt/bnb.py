@@ -7,9 +7,8 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from . import gp
+from . import gp, kernels
 from .errors import DimensionError
 from .kernels import KernelSpec
 from .lattice import DyadicGrid, RegionBall, point_keys
@@ -195,27 +194,29 @@ def shrink(post: gp.GPPosterior, beta_value: float, candidates):
     return kept, region, sup_lcb, mus, sigmas
 
 
-# relative slack on the pruning radius; cdist's rounding is a few ulps
+# relative slack on the pruning radius; the distances' rounding is a few ulps
 _PAIR_MARGIN = 1e-12
 
 
 def _farthest_pair(points: np.ndarray) -> tuple[int, int, float]:
-    """First row-major argmax (i, j) of ``cdist(points, points)`` and its value.
+    """First row-major argmax (i, j) of the full matrix of Euclidean
+    distances between the points, and its value.
 
     With r the distances to the bounding box's centre and lb the largest
     distance from the point of largest r, both ends of every pair at least
     lb apart have r >= lb - max(r) (triangle inequality). Only those points,
-    in their original order, enter the exact ``cdist``, so the indices and
-    the distance bits are those of the full matrix at a fraction of its
-    size (in 1-D, the two end points).
+    in their original order, enter the exact distance matrix, so the indices
+    and the distance bits are those of the full matrix at a fraction of its
+    size (in 1-D, the two end points). The roots are taken before any
+    argmax, as two squares can round to one root and the first of them wins.
     """
     mid = 0.5 * (points.min(axis=0) + points.max(axis=0))
-    r = cdist(points, mid[None, :])[:, 0]
+    r = np.sqrt(kernels.sqdist(points, mid[None, :])[:, 0])
     far = int(np.argmax(r))
-    lb = float(cdist(points[far:far + 1], points).max())
+    lb = float(np.sqrt(kernels.sqdist(points[far:far + 1], points)).max())
     r_max = float(r[far])
     idx = np.flatnonzero(r >= lb - r_max - _PAIR_MARGIN * (lb + r_max))
-    dists = cdist(points[idx], points[idx])
+    dists = np.sqrt(kernels.sqdist(points[idx], points[idx]))
     a, b = np.unravel_index(int(np.argmax(dists)), dists.shape)
     return int(idx[a]), int(idx[b]), float(dists[a, b])
 

@@ -43,11 +43,17 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _split_list(text: str, what: str = "list") -> list[str]:
+    """The stripped entries of a comma-separated list; an empty entry is a
+    usage error that quotes the text."""
+    toks = [tok.strip() for tok in text.split(",")]
+    if "" in toks:
+        raise ValueError(f"empty entry in {what} {text!r}")
+    return toks
+
+
 def _parse_floats(text: str) -> list[float]:
-    toks = text.split(",")
-    if any(tok.strip() == "" for tok in toks):
-        raise ValueError(f"empty entry in list {text!r}")
-    return [float(tok) for tok in toks]
+    return [float(tok) for tok in _split_list(text)]
 
 
 def _parse_range(text: str, what: str) -> list[int]:
@@ -60,7 +66,7 @@ def _parse_range(text: str, what: str) -> list[int]:
             raise ValueError(f"empty {what} range {text!r}")
         return list(range(lo, hi + 1))
     if what == "level":
-        return [int(tok) for tok in text.split(",")]
+        return [int(tok) for tok in _split_list(text, "level list")]
     n = int(text)
     if n < 1:
         raise ValueError("seed count must be positive")
@@ -227,9 +233,7 @@ def cmd_run(args) -> int:
 
 def cmd_compare(args) -> int:
     settings = _Settings(args)
-    strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
-    if not strategies:
-        raise ValueError(f"no strategy given; choose from {STRATEGIES}")
+    strategies = _split_list(args.strategies, "strategy list")
     if len(set(strategies)) != len(strategies):
         raise ValueError(f"strategy listed twice in {args.strategies!r}")
     for s in strategies:

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
-from scipy.spatial.distance import cdist, pdist
 
 from . import kernels
 from .errors import DuplicateObservationError, IllConditionedError
@@ -42,7 +41,6 @@ def _factor(K: np.ndarray, jitter: float, scale: float, points: np.ndarray):
     """
     cap = JITTER_CAP_FACTOR * scale
     j = float(jitter)
-    n = K.shape[0]
     diag = K.diagonal().copy()
     while True:
         np.fill_diagonal(K, diag + j)
@@ -51,7 +49,7 @@ def _factor(K: np.ndarray, jitter: float, scale: float, points: np.ndarray):
         except np.linalg.LinAlgError:
             nxt = j * 10.0 if j > 0.0 else 0.01 * DEFAULT_JITTER_FACTOR * scale
             if nxt > cap:
-                dmin = float(pdist(points).min()) if n > 1 else math.inf
+                dmin = kernels.min_dist(points)
                 raise IllConditionedError(
                     f"Gram matrix not factorizable at jitter {j:g} "
                     f"(cap {cap:g}); closest point pair distance {dmin:g}",
@@ -141,9 +139,10 @@ def _check_new(spec: kernels.KernelSpec, observed: np.ndarray, points,
         raise ValueError("observed values must be finite")
     gap = math.inf
     if len(observed) and len(block):
-        gap = float(cdist(observed, block).min())
+        gap = kernels.min_dist(observed, block)
     if len(block) > 1:
-        gap = min(gap, float(pdist(block).min()))
+        # a row block at a time, so a large fit holds no n x n array
+        gap = min(gap, kernels.min_dist(block))
     if gap < DUPLICATE_TOL:
         raise DuplicateObservationError(
             f"point already observed or repeated in the block (distance {gap:g})"

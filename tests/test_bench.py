@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from bnbopt.bench import (
     boundary_max_objective,
@@ -328,7 +329,7 @@ class TestUcbMatchesReference:
         # a per-step factor copy or 1x1 Cholesky would show here
         choleskys, solves = [], []
         original_cholesky = np.linalg.cholesky
-        original_solve = bench.solve_triangular
+        original_solve = gp._solve_lower
 
         def counted_cholesky(a, *args, **kwargs):
             choleskys.append(np.shape(a))
@@ -339,14 +340,36 @@ class TestUcbMatchesReference:
             return original_solve(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
-        monkeypatch.setattr(bench, "solve_triangular", counted_solve)
+        monkeypatch.setattr(gp, "_solve_lower", counted_solve)
         trace = plain_ucb_run(obj, spec, grid,
                               RunConfig(alpha=0.1, max_evaluations=200))
         assert len(trace) == 200
         assert extends == []
         assert sizes == [0]
         assert choleskys == [(0, 0)]  # the empty fit's
-        assert solves == []
+        assert solves == [0]  # the empty fit's
+
+    def test_refit_solve_is_solve_triangular_bitwise(self, monkeypatch):
+        # zero jitter makes the Schur complement fail, so the baseline refits
+        # and solves for V = L^-1 K(X, pts) against the refit's factor
+        spec, grid = spec_se(), unit_grid(max_level=8)
+        obj = gp_sample_objective(table_prior(spec, grid, 8), seed=1)
+        pts = grid.points(8)
+        original_solve = gp._solve_lower
+        refit_solves = []
+
+        def checked_solve(chol, b, overwrite_b=False):
+            want = solve_triangular(chol, b, lower=True, check_finite=False)
+            got = original_solve(chol, b, overwrite_b)
+            assert got.tobytes() == want.tobytes()
+            if b.ndim == 2 and b.shape[1] == len(pts):
+                refit_solves.append(len(chol))
+            return got
+
+        monkeypatch.setattr(gp, "_solve_lower", checked_solve)
+        plain_ucb_run(obj, spec, grid,
+                      RunConfig(alpha=0.1, max_evaluations=60, jitter=0.0))
+        assert refit_solves
 
     @pytest.mark.parametrize("s", [1.0, 1e-10, 1e-300, 5e-324, 0.0, -0.0,
                                    -1e-300, -1.0, math.inf])

@@ -272,6 +272,17 @@ class TestCompare:
         assert "strategy" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("strategies", [",", "", "bnb,", ",ucb", "bnb,,ucb"])
+    def test_empty_strategy_entry_quotes_the_list(self, tmp_path, capsys,
+                                                  strategies):
+        out = tmp_path / "none"
+        code = run_cli("compare", "--strategies", strategies, "--seeds", "0..1",
+                       "--out", str(out))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"empty entry in strategy list {strategies!r}" in err
+        assert not out.exists()
+
 
 class TestExitCodes:
     def test_oversized_lattice_is_runtime_failure(self, tmp_path, capsys):
@@ -294,6 +305,14 @@ class TestExitCodes:
 
 
 class TestVerify:
+    @pytest.mark.parametrize("levels", ["1,,3", "1,3,", ",2"])
+    def test_empty_level_entry_is_usage_error(self, tmp_path, capsys, levels):
+        code = run_cli("verify", "variance", "--levels", levels,
+                       "--out", str(tmp_path / "o"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"empty entry in level list {levels!r}" in err
+
     def test_variance_passes_for_finite_smoothness_kernel(self, tmp_path):
         out = tmp_path / "v"
         code = run_cli("verify", "variance", "--levels", "1..5",

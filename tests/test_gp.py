@@ -6,10 +6,13 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
+from scipy.spatial.distance import pdist
 
 from bnbopt import kernels
 from bnbopt.errors import DuplicateObservationError, IllConditionedError
 from bnbopt.gp import (
+    DUPLICATE_TOL,
+    _check_new,
     _factor,
     _schur_step,
     _solve_lower,
@@ -55,6 +58,35 @@ class TestFit:
     def test_non_finite_values_rejected(self, bad):
         with pytest.raises(ValueError, match="observed values must be finite"):
             fit(spec_se(), np.array([[0.1], [0.5]]), np.array([1.0, bad]))
+
+    def test_duplicate_tolerance_boundary(self):
+        # a gap of exactly DUPLICATE_TOL is kept, within a block and against
+        # the observed points; the next double down is a duplicate
+        spec = spec_se(dim=2)
+        kept = np.array([[0.25, 0.0], [0.25, DUPLICATE_TOL], [0.75, 0.5]])
+        assert pdist(kept).min() == DUPLICATE_TOL
+        _check_new(spec, np.zeros((0, 2)), kept, np.zeros(3))
+        _check_new(spec, kept[:1], kept[1:], np.zeros(2))
+        close = kept.copy()
+        close[1, 1] = np.nextafter(DUPLICATE_TOL, 0.0)
+        with pytest.raises(DuplicateObservationError):
+            _check_new(spec, np.zeros((0, 2)), close, np.zeros(3))
+        with pytest.raises(DuplicateObservationError):
+            _check_new(spec, close[:1], close[1:], np.zeros(2))
+
+    def test_duplicate_check_holds_no_pair_matrix(self):
+        # pdist's condensed array of 3,000 points is 36 MB
+        rng = np.random.default_rng(11)
+        pts = rng.uniform(0.0, 1.0, size=(3000, 2))
+        condensed = 3000 * 2999 // 2 * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _check_new(spec_se(dim=2), np.zeros((0, 2)), pts, np.zeros(3000))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < condensed / 10
 
     def test_empty_returns_prior(self):
         # the empty posterior takes predict_batch's general path

@@ -1,19 +1,27 @@
 """Kernel evaluation, Gram structure and the smoothness constant."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist
 
+import bnbopt
 from bnbopt.errors import DimensionError
+from bnbopt.gp import DUPLICATE_TOL
 from bnbopt.kernels import (
     FAMILIES,
     KernelSpec,
     _profile,
     evaluate,
+    min_dist,
     pairwise,
     smoothness_constant,
+    sqdist,
 )
 
 EXP_MINUS_ONE = 0.36787944117144233  # high-precision e^-1, 50-digit arithmetic
@@ -217,16 +225,81 @@ def test_cross_dimension_mismatch():
         pairwise(spec_se(), np.zeros((2, 2)), [[0.5]])
 
 
+# (n, m) pairs: empty sides, single broadcast blocks, and BLAS blocks with
+# a partial last block
+DIST_SHAPES = [(0, 0), (0, 5), (4, 0), (1, 1), (7, 3), (40, 90), (300, 170),
+               (1, 5000)]
+
+
+def _points(rng, n, dim):
+    # dyadic points in half of the rows, so exact ties and zero gaps occur
+    pts = rng.uniform(-3.0, 3.0, size=(n, dim))
+    pts[::2] = np.round(pts[::2] * 16.0) / 16.0
+    return pts
+
+
 def test_pairwise_is_the_profile_bitwise():
-    # pairwise works in the cdist buffer; it must give _profile's bits
+    # pairwise works in place on its distance blocks; it must give the bits
+    # of _profile on cdist's squared distances, at every dimension and
+    # anisotropic lengthscales, for one-block and many-block calls alike
     rng = np.random.default_rng(5)
     for family in FAMILIES:
-        for dim in (1, 2, 3):
-            spec = KernelSpec(family, 1.7, tuple(rng.uniform(0.1, 2.0, dim)))
-            a = rng.uniform(-1.0, 2.0, size=(13, dim))
-            b = rng.uniform(-1.0, 2.0, size=(7, dim))
+        for dim in range(1, 11):
+            spec = KernelSpec(family, 1.7, tuple(rng.uniform(0.05, 3.0, dim)))
             ls = np.asarray(spec.lengthscales)
-            for x, y in ((a, b), (a, a)):
-                sq = cdist(x / ls, y / ls, "sqeuclidean")
-                expected = _profile(family, sq) * spec.output_scale
-                assert np.array_equal(pairwise(spec, x, y), expected), (family, dim)
+            for n, m in DIST_SHAPES:
+                a, b = _points(rng, n, dim), _points(rng, m, dim)
+                for x, y in ((a, b), (a, a)):
+                    sq = cdist(x / ls, y / ls, "sqeuclidean")
+                    expected = _profile(family, sq) * spec.output_scale
+                    got = pairwise(spec, x, y)
+                    assert got.tobytes() == expected.tobytes(), (family, dim, n, m)
+
+
+class TestDistances:
+    @pytest.mark.parametrize("dim", range(1, 11))
+    def test_sqdist_is_cdist_bitwise(self, dim):
+        rng = np.random.default_rng(dim)
+        for n, m in DIST_SHAPES:
+            a, b = _points(rng, n, dim), _points(rng, m, dim)
+            got = sqdist(a, b)
+            assert got.shape == (n, m)
+            assert got.tobytes() == cdist(a, b, "sqeuclidean").tobytes()
+            assert np.sqrt(got).tobytes() == cdist(a, b).tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 7])
+    def test_min_dist_is_pdist_and_cdist_min(self, dim):
+        rng = np.random.default_rng(200 + dim)
+        for n, m in DIST_SHAPES:
+            a, b = _points(rng, n, dim), _points(rng, m, dim)
+            want = cdist(a, b).min() if n and m else math.inf
+            assert min_dist(a, b) == want
+            want = pdist(a).min() if n > 1 else math.inf
+            assert min_dist(a) == want
+
+    def test_min_dist_finds_a_pair_in_a_late_block(self):
+        # 3000 points, the one close pair in the last rows and columns
+        rng = np.random.default_rng(7)
+        pts = rng.uniform(0.0, 1.0, size=(3000, 2))
+        pts[-1] = pts[-2] + 1e-9
+        assert min_dist(pts) == pdist(pts).min()
+        assert min_dist(pts[:5], pts) == 0.0
+        # and the first row with the last: only the first block holds it
+        pts[0] = pts[-1] + 1e-10
+        assert min_dist(pts) == pdist(pts).min() < 1e-9
+
+    def test_gap_exactly_at_the_duplicate_tolerance(self):
+        pts = np.array([[0.25, 0.0], [0.25, DUPLICATE_TOL], [0.75, 0.5]])
+        assert min_dist(pts) == pdist(pts).min() == DUPLICATE_TOL
+        assert min_dist(pts[:1], pts[1:]) == cdist(pts[:1], pts[1:]).min()
+
+
+def test_import_loads_no_scipy_spatial():
+    # a fresh interpreter, importing the bnbopt this test suite imports
+    code = ("import sys, bnbopt, bnbopt.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.spatial')))")
+    src = str(Path(bnbopt.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "[]"
