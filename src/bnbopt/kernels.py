@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -16,13 +17,15 @@ _SQRT5 = math.sqrt(5.0)
 # e^{-t^2/2} = 1 - t^2/2 + t^4/8 - ... and, for Matern-5/2,
 # 1 - 5t^2/6 + 25t^4/24 - ..., so d4 = 4! times the t^4 coefficient
 _PROFILE_D4 = {"se": 3.0, "matern52": 25.0}
-# entries per row block of the distance helpers: a block and its one
-# scratch block stay in cache, and no second n x m array is held
+# entries per row block of the distance helpers: a block and its scratch
+# block stay in cache, and no second n x m array is held
 _BLOCK = 1 << 15
-# up to this many entries in all, a distance matrix is one block whose
-# differences numpy broadcasts; above it, one BLAS product per axis and block
-# gives them (see _sq_blocks)
-_BROADCAST_MAX = 1 << 12
+# from this many axis differences (n * m * dim) in a call of four rows or
+# more, BLAS products give them (see sqdist): numpy broadcasting a column
+# against a row costs more per entry, but in a smaller call setting up the
+# products' operands costs more than they save, and with one to three rows
+# the products lose at every size measured
+_BLAS_MIN = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -97,88 +100,62 @@ def _profile(family: str, sq):
     return (1.0 + _SQRT5 * r + (5.0 / 3.0) * sq) * np.exp(-_SQRT5 * r)
 
 
-def _columns(points: np.ndarray, scale=None) -> np.ndarray:
-    """The axes of an (n, dim) array as the rows of a C-order (dim, n) array,
-    each divided by its entry of ``scale`` if given (the bits of
-    ``points / scale``). Every later pass then runs along whole rows."""
-    if scale is None:
-        return np.ascontiguousarray(points.T)
-    return np.divide(points.T, np.asarray(scale)[:, None],
-                     out=np.empty(points.T.shape))
+def _block_rows(m: int) -> int:
+    """Rows in a row block of a distance matrix with m columns."""
+    return max(1, _BLOCK // max(m, 1))
 
 
-def _squares(ac: np.ndarray, bc: np.ndarray, keep: bool = True,
-             upper: bool = False):
-    """Squared Euclidean distances between the points whose axes are the rows
-    of ``ac`` (dim, n) and ``bc`` (dim, m); see :func:`_columns`.
+def sqdist(a: np.ndarray, b: np.ndarray, scale=1.0, each=None) -> np.ndarray:
+    """Squared Euclidean distances between the rows of ``a / scale`` (n, dim)
+    and ``b / scale`` (m, dim), shape (n, m); ``scale`` is a number or a
+    (dim, 1) column.
 
     Each entry is ``(a_0 - b_0)^2 + (a_1 - b_1)^2 + ...`` summed in axis
-    order, as SciPy's ``cdist(a, b, "sqeuclidean")`` sums it, so the bits
-    are the same. Returns ``(whole, blocks)``: ``blocks`` yields the (n, m)
-    matrix a row block at a time, each block filled only when it is reached;
-    ``whole`` is the matrix they fill, or None when ``keep`` is false and
-    the blocks share one buffer instead. With ``upper`` (one point set, and
-    ``keep`` false), a block of rows from s on may hold only the columns
-    from s on: its other pairs came in an earlier block, whose entries are
-    the same bits, as b - a is -(a - b) exactly.
+    order, as SciPy's ``cdist(a / scale, b / scale, "sqeuclidean")`` sums it,
+    so the bits are the same. A large matrix is filled a row block of about
+    2^15 entries at a time, every axis inside the block, so no second (n, m)
+    array is held; ``each``, if given, is called on every block once it is
+    filled, while it is in cache. A small call, or one of under four rows,
+    is one block whose differences come from one broadcast over all axes,
+    which holds at most ``dim`` arrays of its size.
     """
-    if ac.shape[1] * bc.shape[1] <= _BROADCAST_MAX:
-        # every axis's differences in one broadcast, and their squares in one
-        # pass: a small call costs numpy's per-call overhead, not its entries
-        t = ac[:, :, None] - bc[:, None, :]
-        t *= t
-        sq = t[0] if len(t) == 1 else np.add(t[0], t[1])
-        for k in range(2, len(t)):
-            sq += t[k]
-        return sq, (sq,)
-    out = np.empty((ac.shape[1], bc.shape[1])) if keep else None
-    return out, _sq_blocks(ac, bc, out, upper)
-
-
-def _sq_blocks(ac: np.ndarray, bc: np.ndarray, out: np.ndarray | None,
-               upper: bool):
-    """The blocks of :func:`_squares`, in ``out`` if given.
-
-    Each axis's differences come from one BLAS product per block:
-    ``left[k] @ right[k]`` has entries ``a[i, k] * 1 + 1 * -b[j, k]``, and
-    both products are exact, so each entry is a - b rounded once, whatever
-    order or fusing the BLAS kernel uses. On a large block that is several
-    times faster than numpy broadcasting a column against a row.
-    """
-    (d, n), m = ac.shape, bc.shape[1]
-    left = np.ones((d, n, 2))
-    left[:, :, 0] = ac
-    right = np.ones((d, 2, m))
-    np.negative(bc, out=right[:, 1])
-    rows = max(1, _BLOCK // max(m, 1))
-    size = min(rows, n) * m
-    # the scratch block (at d > 1) in front, then the blocks' own buffer
-    # when there is no out
-    buf = np.empty(((d > 1) + (out is None)) * size)
+    (n, d), m = a.shape, len(b)
+    if n < 4 or n * m * d < _BLAS_MIN:
+        # one broadcast gives every axis's differences; with the axes as
+        # contiguous rows, as here, it runs up to twice as fast
+        ac = np.ascontiguousarray(np.divide(a.T, scale))
+        bc = np.ascontiguousarray(np.divide(b.T, scale))
+        sq = ac[:, :, None] - bc[:, None, :]
+        sq *= sq
+        out = sq[0] if d == 1 else np.add(sq[0], sq[1])
+        for k in range(2, d):
+            out += sq[k]
+        if each is not None:
+            each(out)
+        return out
+    # left[k] @ right[k] has entries a[i, k] * 1 + -1 * b[j, k]: both
+    # products are exact, so each is a - b rounded once, whatever order or
+    # fusing the BLAS kernel uses
+    left = np.empty((d, n, 2))
+    left[:, :, 1] = -1.0
+    np.divide(a.T, scale, out=left[:, :, 0])
+    right = np.empty((d, 2, m))
+    right[:, 0] = 1.0
+    np.divide(b.T, scale, out=right[:, 1])
+    out = np.empty((n, m))
+    rows = _block_rows(m)
+    tmp = np.empty((min(rows, n), m))
     for s in range(0, n, rows):
-        c = s if upper else 0
-        if out is None:
-            blk = buf[len(buf) - min(rows, n - s) * (m - c):].reshape(-1, m - c)
-        else:
-            blk = out[s:s + rows]
-        np.matmul(left[0, s:s + rows], right[0, :, c:], out=blk)
+        blk = out[s:s + rows]
+        np.matmul(left[0, s:s + rows], right[0], out=blk)
         blk *= blk
         for k in range(1, d):
-            tmp = buf[:blk.size].reshape(blk.shape)
-            np.matmul(left[k, s:s + rows], right[k, :, c:], out=tmp)
-            tmp *= tmp
-            blk += tmp
-        yield blk
-
-
-def sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between the rows of two (n, dim) and
-    (m, dim) arrays, shape (n, m), with the bits of SciPy's ``cdist(a, b,
-    "sqeuclidean")``. Works in row blocks of about 2^15 entries, so it holds
-    no second (n, m) array."""
-    out, blocks = _squares(_columns(a), _columns(b))
-    for _ in blocks:
-        pass
+            sq = tmp[:len(blk)]
+            np.matmul(left[k, s:s + rows], right[k], out=sq)
+            sq *= sq
+            blk += sq
+        if each is not None:
+            each(blk)
     return out
 
 
@@ -188,46 +165,50 @@ def min_dist(a: np.ndarray, b: np.ndarray | None = None) -> float:
 
     The bits of SciPy's ``cdist(a, b).min()`` and ``pdist(a).min()``: the
     square root is monotone, so the root of the least square is the least
-    root. The squares come a row block at a time in one buffer, so no
-    (n, m) array is held; with one set, about half of them are computed.
+    root. The squares come a row block at a time, so no (n, m) array is
+    held.
     """
     same = b is None
-    ac = _columns(a)
+    if same:
+        b = a
+    rows = _block_rows(len(b))
     least = math.inf
-    for blk in _squares(ac, ac if same else _columns(b), False, same)[1]:
+    for s in range(0, len(a), rows):
+        sq = sqdist(a[s:s + rows], b)
         if same:
-            # each row meets its own point on the block's diagonal
-            np.fill_diagonal(blk, math.inf)
-        if blk.size:
-            least = min(least, float(blk.min()))
+            # each row meets its own point
+            np.fill_diagonal(sq[:, s:], math.inf)
+        if sq.size:
+            least = min(least, float(sq.min()))
     return math.sqrt(least)
+
+
+def _apply_profile(spec: KernelSpec, sq: np.ndarray) -> None:
+    """Overwrite scaled squared distances with their covariances: the bits
+    of ``spec.output_scale * _profile(spec.family, sq)``."""
+    if spec.family == "se":
+        sq *= -0.5
+        np.exp(sq, out=sq)
+    else:
+        # _profile's Matern steps, reordered only where IEEE + and * commute
+        # and -(sqrt5 * r) == (-sqrt5) * r, so the bits are the same
+        r = np.sqrt(sq)
+        r *= _SQRT5
+        sq *= 5.0 / 3.0
+        sq += r + 1.0
+        np.negative(r, out=r)
+        np.exp(r, out=r)
+        sq *= r
+    sq *= spec.output_scale
 
 
 def pairwise(spec: KernelSpec, points_a, points_b) -> np.ndarray:
     """Covariance matrix between two point sets, shape (len(a), len(b))."""
-    ls = spec.lengthscales
-    out, blocks = _squares(_columns(as_points(spec, points_a), ls),
-                           _columns(as_points(spec, points_b), ls))
-    # the profile works in place on each block while it is in cache: a Gram
+    # the profile works on each distance block while it is in cache: a Gram
     # matrix is the largest array a fit holds
-    for sq in blocks:
-        if spec.family == "se":
-            sq *= -0.5
-            np.exp(sq, out=sq)
-        else:
-            # _profile's Matern steps, reordered only where IEEE + and *
-            # commute and -(sqrt5 * r) == (-sqrt5) * r, so the bits are the same
-            r = np.sqrt(sq)
-            r *= _SQRT5
-            sq *= 5.0 / 3.0
-            sq += r + 1.0
-            np.negative(r, out=r)
-            np.exp(r, out=r)
-            sq *= r
-        # x * 1.0 is x, so a unit scale needs no pass
-        if spec.output_scale != 1.0:
-            sq *= spec.output_scale
-    return out
+    return sqdist(as_points(spec, points_a), as_points(spec, points_b),
+                  np.asarray(spec.lengthscales)[:, None],
+                  partial(_apply_profile, spec))
 
 
 def evaluate(spec: KernelSpec, x, y) -> float:

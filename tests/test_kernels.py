@@ -12,7 +12,6 @@ from scipy.spatial.distance import cdist, pdist
 
 import bnbopt
 from bnbopt.errors import DimensionError
-from bnbopt.gp import DUPLICATE_TOL
 from bnbopt.kernels import (
     FAMILIES,
     KernelSpec,
@@ -225,10 +224,10 @@ def test_cross_dimension_mismatch():
         pairwise(spec_se(), np.zeros((2, 2)), [[0.5]])
 
 
-# (n, m) pairs: empty sides, single broadcast blocks, and BLAS blocks with
-# a partial last block
+# (n, m) pairs: empty sides, one-block calls, several blocks with a partial
+# last block, and one-row blocks (more than 2^15 columns)
 DIST_SHAPES = [(0, 0), (0, 5), (4, 0), (1, 1), (7, 3), (40, 90), (300, 170),
-               (1, 5000)]
+               (1, 5000), (3, 33000)]
 
 
 def _points(rng, n, dim):
@@ -284,14 +283,9 @@ class TestDistances:
         pts[-1] = pts[-2] + 1e-9
         assert min_dist(pts) == pdist(pts).min()
         assert min_dist(pts[:5], pts) == 0.0
-        # and the first row with the last: only the first block holds it
+        # and the first row with the last, a pair in the first and last blocks
         pts[0] = pts[-1] + 1e-10
         assert min_dist(pts) == pdist(pts).min() < 1e-9
-
-    def test_gap_exactly_at_the_duplicate_tolerance(self):
-        pts = np.array([[0.25, 0.0], [0.25, DUPLICATE_TOL], [0.75, 0.5]])
-        assert min_dist(pts) == pdist(pts).min() == DUPLICATE_TOL
-        assert min_dist(pts[:1], pts[1:]) == cdist(pts[:1], pts[1:]).min()
 
 
 def test_import_loads_no_scipy_spatial():
