@@ -121,8 +121,8 @@ def sqdist(a: np.ndarray, b: np.ndarray, scale=1.0, each=None) -> np.ndarray:
     """
     (n, d), m = a.shape, len(b)
     if n < 4 or n * m * d < _BLAS_MIN:
-        # one broadcast gives every axis's differences; with the axes as
-        # contiguous rows, as here, it runs up to twice as fast
+        # one broadcast gives every axis's differences; numpy broadcasts
+        # contiguous axis rows several times faster than strided ones
         ac = np.ascontiguousarray(np.divide(a.T, scale))
         bc = np.ascontiguousarray(np.divide(b.T, scale))
         sq = ac[:, :, None] - bc[:, None, :]
