@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
 
 from . import gp, kernels
 from .bnb import RunConfig, RunTrace, ShrinkEvent, beta, run
@@ -161,9 +160,9 @@ def plain_ucb_run(objective, spec: KernelSpec, grid: DyadicGrid,
     re-predicted. Each evaluation appends one row to the factor L, to
     V = L^-1 K(X, pts) and to a = L^-1 y. The step's Schur column K(X, x) is
     its kernel row K(x, pts) read at the earlier picks, as kernel entries are
-    symmetric bit for bit. C = L^-1 K(X, x) is one LAPACK ``dtrtrs`` solve on
-    the factor buffer itself, with no copy of its leading block, and the new
-    row is [C^T, sqrt(s)] for the scalar Schur complement
+    symmetric bit for bit. C = L^-1 K(X, x) is one `gp._solve_lower` on the
+    factor buffer's first n rows, with no copy of its leading block, and the
+    new row is [C^T, sqrt(s)] for the scalar Schur complement
     s = k(x, x) + jitter - C^T C: the bits `GPPosterior.extend` would give.
     The mean V^T a gains a_n V[n] and the variances fall by V[n] squared, so
     a step costs O(n m) instead of O(n^2 m). When s <= 0 (where a 1x1
@@ -197,13 +196,7 @@ def plain_ucb_run(objective, spec: KernelSpec, grid: DyadicGrid,
         values[n] = float(objective(x))
         picks[n] = pick
         k = kernels.pairwise(spec, x[None, :], pts)[0]
-        c = k[picks[:n], None]
-        if n:  # dtrtrs rejects an empty right-hand side
-            # chol.T[:, :n] holds L[:n, :n]^T in Fortran order with
-            # lda = steps, so LAPACK reads the buffer in place: the call
-            # solve_triangular makes after copying the block. The factor's
-            # diagonal is positive, so info is 0
-            c, _ = dtrtrs(chol.T[:, :n], c, lower=0, trans=1, overwrite_b=1)
+        c = gp._solve_lower(chol[:n], k[picks[:n], None], overwrite_b=True)
         # the 1x1 Schur complement: s > 0.0 exactly where its Cholesky
         # succeeds, and sqrt(s) is that Cholesky bit for bit
         s = (float(k[pick]) + jitter) - float((c.T @ c)[0, 0])

@@ -23,9 +23,12 @@ def _solve_lower(chol: np.ndarray, b: np.ndarray,
 
     ``chol.T`` is L^T in Fortran order, so this is the one LAPACK call that
     ``solve_triangular`` makes for a C-order factor, without its argument
-    checks. ``dtrtrs`` rejects an empty factor, and OpenBLAS says so on the
-    C stdout, so an empty factor or right-hand side returns zeros of b's
-    shape without the call. The factor's diagonal is positive, so info is 0.
+    checks. ``chol`` may be the first n rows of a wider C-order buffer: its
+    row stride is LAPACK's leading dimension, and LAPACK reads only the
+    leading n x n block, so that block is not copied. ``dtrtrs`` rejects an
+    empty factor, and OpenBLAS says so on the C stdout, so an empty factor
+    or right-hand side returns zeros of b's shape without the call. The
+    factor's diagonal is positive, so info is 0.
     """
     if b.size == 0:
         return np.zeros(b.shape)

@@ -105,26 +105,25 @@ def _block_rows(m: int) -> int:
     return max(1, _BLOCK // max(m, 1))
 
 
-def sqdist(a: np.ndarray, b: np.ndarray, scale=1.0, each=None) -> np.ndarray:
-    """Squared Euclidean distances between the rows of ``a / scale`` (n, dim)
-    and ``b / scale`` (m, dim), shape (n, m); ``scale`` is a number or a
-    (dim, 1) column.
+def sqdist(a: np.ndarray, b: np.ndarray, each=None) -> np.ndarray:
+    """Squared Euclidean distances between the rows of ``a`` (n, dim) and
+    ``b`` (m, dim), shape (n, m).
 
     Each entry is ``(a_0 - b_0)^2 + (a_1 - b_1)^2 + ...`` summed in axis
-    order, as SciPy's ``cdist(a / scale, b / scale, "sqeuclidean")`` sums it,
-    so the bits are the same. A large matrix is filled a row block of about
-    2^15 entries at a time, every axis inside the block, so no second (n, m)
-    array is held; ``each``, if given, is called on every block once it is
-    filled, while it is in cache. A small call, or one of under four rows,
-    is one block whose differences come from one broadcast over all axes,
-    which holds at most ``dim`` arrays of its size.
+    order, as SciPy's ``cdist(a, b, "sqeuclidean")`` sums it, so the bits
+    are the same. A large matrix is filled a row block of about 2^15 entries
+    at a time, every axis inside the block, so no second (n, m) array is
+    held; ``each``, if given, is called on every block once it is filled,
+    while it is in cache. A small call, or one of under four rows, is one
+    block whose differences come from one broadcast over all axes, which
+    holds at most ``dim`` arrays of its size.
     """
     (n, d), m = a.shape, len(b)
     if n < 4 or n * m * d < _BLAS_MIN:
         # one broadcast gives every axis's differences; numpy broadcasts
         # contiguous axis rows several times faster than strided ones
-        ac = np.ascontiguousarray(np.divide(a.T, scale))
-        bc = np.ascontiguousarray(np.divide(b.T, scale))
+        ac = np.ascontiguousarray(a.T)
+        bc = np.ascontiguousarray(b.T)
         sq = ac[:, :, None] - bc[:, None, :]
         sq *= sq
         out = sq[0] if d == 1 else np.add(sq[0], sq[1])
@@ -138,10 +137,10 @@ def sqdist(a: np.ndarray, b: np.ndarray, scale=1.0, each=None) -> np.ndarray:
     # fusing the BLAS kernel uses
     left = np.empty((d, n, 2))
     left[:, :, 1] = -1.0
-    np.divide(a.T, scale, out=left[:, :, 0])
+    left[:, :, 0] = a.T
     right = np.empty((d, 2, m))
     right[:, 0] = 1.0
-    np.divide(b.T, scale, out=right[:, 1])
+    right[:, 1] = b.T
     out = np.empty((n, m))
     rows = _block_rows(m)
     tmp = np.empty((min(rows, n), m))
@@ -206,8 +205,8 @@ def pairwise(spec: KernelSpec, points_a, points_b) -> np.ndarray:
     """Covariance matrix between two point sets, shape (len(a), len(b))."""
     # the profile works on each distance block while it is in cache: a Gram
     # matrix is the largest array a fit holds
-    return sqdist(as_points(spec, points_a), as_points(spec, points_b),
-                  np.asarray(spec.lengthscales)[:, None],
+    ls = np.asarray(spec.lengthscales)
+    return sqdist(as_points(spec, points_a) / ls, as_points(spec, points_b) / ls,
                   partial(_apply_profile, spec))
 
 

@@ -327,7 +327,7 @@ class TestUcbMatchesReference:
         monkeypatch.setattr(gp.GPPosterior, "extend", counted_extend)
         sizes = counting_fits(monkeypatch)
         # a per-step factor copy or 1x1 Cholesky would show here
-        choleskys, solves = [], []
+        choleskys, solves, factors = [], [], []
         original_cholesky = np.linalg.cholesky
         original_solve = gp._solve_lower
 
@@ -337,6 +337,7 @@ class TestUcbMatchesReference:
 
         def counted_solve(*args, **kwargs):
             solves.append(len(args[0]))
+            factors.append(args[0])
             return original_solve(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
@@ -347,29 +348,39 @@ class TestUcbMatchesReference:
         assert extends == []
         assert sizes == [0]
         assert choleskys == [(0, 0)]  # the empty fit's
-        assert solves == [0]  # the empty fit's
+        # the empty fit's, then one per step on the first n rows of one
+        # factor buffer: a per-step copy of the factor has no such base
+        assert solves == [0] + list(range(200))
+        buffer = factors[1].base
+        assert buffer is not None and buffer.shape == (200, 200)
+        assert all(f.base is buffer for f in factors[1:])
 
     def test_refit_solve_is_solve_triangular_bitwise(self, monkeypatch):
         # zero jitter makes the Schur complement fail, so the baseline refits
-        # and solves for V = L^-1 K(X, pts) against the refit's factor
+        # and solves for V = L^-1 K(X, pts) against the refit's factor; every
+        # step's solve reads the leading block of the factor buffer's rows
         spec, grid = spec_se(), unit_grid(max_level=8)
         obj = gp_sample_objective(table_prior(spec, grid, 8), seed=1)
         pts = grid.points(8)
         original_solve = gp._solve_lower
-        refit_solves = []
+        refit_solves, step_solves = [], []
 
         def checked_solve(chol, b, overwrite_b=False):
-            want = solve_triangular(chol, b, lower=True, check_finite=False)
+            want = solve_triangular(chol[:, :len(chol)], b, lower=True,
+                                    check_finite=False)
             got = original_solve(chol, b, overwrite_b)
             assert got.tobytes() == want.tobytes()
             if b.ndim == 2 and b.shape[1] == len(pts):
                 refit_solves.append(len(chol))
+            elif b.ndim == 2:
+                step_solves.append(len(chol))
             return got
 
         monkeypatch.setattr(gp, "_solve_lower", checked_solve)
         plain_ucb_run(obj, spec, grid,
                       RunConfig(alpha=0.1, max_evaluations=60, jitter=0.0))
         assert refit_solves
+        assert step_solves == list(range(60))
 
     @pytest.mark.parametrize("s", [1.0, 1e-10, 1e-300, 5e-324, 0.0, -0.0,
                                    -1e-300, -1.0, math.inf])

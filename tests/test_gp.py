@@ -155,10 +155,16 @@ class TestSolveLower:
         shape = (n,) if layout == "1-D" else (n, m)
         b = np.asarray(rng.normal(size=shape), order="F" if layout == "F" else "C")
         want = solve_triangular(chol, b, lower=True, check_finite=False)
-        for overwrite in (False, True):
-            got = _solve_lower(chol, b.copy(order="K"), overwrite_b=overwrite)
-            assert got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
+        # the first n rows of a wider buffer, NaN off the factor's lower
+        # triangle: LAPACK must read only that triangle of the leading block
+        wide = np.full((n + 2, n + 5), np.nan)
+        wide[:n, :n] = np.where(np.tri(n, dtype=bool), chol, np.nan)
+        for factor in (chol, wide[:n]):
+            for overwrite in (False, True):
+                got = _solve_lower(factor, b.copy(order="K"),
+                                   overwrite_b=overwrite)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
     def test_keeps_b_unless_told(self):
         rng = np.random.default_rng(5)

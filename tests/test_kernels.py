@@ -1,5 +1,6 @@
 """Kernel evaluation, Gram structure and the smoothness constant."""
 
+import ast
 import math
 import os
 import subprocess
@@ -297,3 +298,19 @@ def test_import_loads_no_scipy_spatial():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env)
     assert out.stdout.strip() == "[]"
+
+
+def test_only_gp_imports_scipy():
+    # one home for the LAPACK calls: every other module is numpy alone
+    importers = set()
+    for path in Path(bnbopt.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                importers.add(path.name)
+    assert importers == {"gp.py"}
