@@ -54,7 +54,9 @@ class TablePrior:
     ``grid`` is the table lattice, ``DyadicGrid(lower, upper, 0, level)``.
     ``post`` is a zero-valued fit on its points: the factor of the jittered
     Gram matrix and the jitter actually used depend only on (spec, lattice,
-    jitter). ``index`` maps each point's key (`point_keys`) to its row.
+    jitter), and `gp.prior_draw` reads both to draw each seed's table
+    without the jitter's white noise. ``index`` maps each point's key
+    (`point_keys`) to its row.
     """
 
     grid: DyadicGrid

@@ -207,9 +207,18 @@ def sample_prior_on_grid(spec: kernels.KernelSpec, grid_points,
 def prior_draw(prior: GPPosterior, seed: int) -> np.ndarray:
     """One zero-mean prior draw at ``prior``'s points, deterministic per seed.
 
-    Reads only the factor, so one zero-valued :func:`fit` on a point set
-    serves every seed drawn there. Each draw is one matrix-vector product
-    ``chol @ z``; stacking seeds into a matrix product may round differently.
+    Reads only the factor L and its jitter j, so one zero-valued :func:`fit`
+    on a point set serves every seed drawn there. L z with LL^T = K + jI
+    would be a draw of K plus white noise of variance j at every point,
+    noise the posterior's deviation leaves out. The draw is K L^-T z =
+    L z - j L^-T z instead, the posterior mean of that noisy draw: one
+    matrix-vector product and one LAPACK ``trtrs`` solve with L^T per seed,
+    whose covariance K (K + jI)^-1 K is at most K. Stacking seeds into
+    matrix products may round differently.
     """
     z = np.random.default_rng(seed).standard_normal(len(prior))
-    return prior.chol @ z
+    if not len(z):  # dtrtrs rejects an empty factor
+        return z
+    # chol.T is L^T in Fortran order, so trans=0 solves L^T w = z
+    w, _ = dtrtrs(prior.chol.T, z, lower=0, trans=0)
+    return prior.chol @ z - prior.jitter * w

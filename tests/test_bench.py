@@ -111,15 +111,19 @@ class TestTablePrior:
         grid = unit_grid(dim=dim, max_level=level)
         pts = grid.points(level)
         prior = table_prior(spec, grid, level)
-        # reference: a fresh Cholesky of K with the jitter on its diagonal
+        # reference: a fresh Cholesky L of K with the jitter j on its
+        # diagonal, and the denoised draw K L^-T z = L z - j L^-T z
+        jitter = gp.DEFAULT_JITTER_FACTOR
         gram = kernels.pairwise(spec, pts, pts)
-        gram[np.diag_indices_from(gram)] += gp.DEFAULT_JITTER_FACTOR
+        gram[np.diag_indices_from(gram)] += jitter
         chol = np.linalg.cholesky(gram)
         for seed in range(5):
             obj = gp_sample_objective(prior, seed)
             vals = sample_prior_on_grid(spec, pts, seed)
             z = np.random.default_rng(seed).standard_normal(len(pts))
-            assert np.array_equal(vals, chol @ z)
+            w = solve_triangular(chol, z, lower=True, trans="T",
+                                 check_finite=False)
+            assert vals.tobytes() == (chol @ z - jitter * w).tobytes()
             assert np.array_equal(np.array([obj(p) for p in pts]), vals)
             i = int(np.argmax(vals))
             assert np.array_equal(obj.known_max_point, pts[i])
