@@ -24,7 +24,15 @@ _BLOCK = 1 << 15
 # more, BLAS products give them (see sqdist): numpy broadcasting a column
 # against a row costs more per entry, but in a smaller call setting up the
 # products' operands costs more than they save, and with one to three rows
-# the products lose at every size measured
+# the products lose at every size measured. Each path wins where it runs.
+# Calls at seed 0 of the perfbench workloads, broadcast / BLAS: regret-1d
+# 5,077 / 36 (4.39M / 2.12M entries), envelope-1d 6,794 / 3, bowl-1d
+# 101 / 68 (0.08M / 10.4M entries), bowl-3d 120 / 114 (0.06M / 17.2M).
+# On one BLAS thread of a 2-core Xeon, BLAS alone makes a small call about
+# 40 % slower (a 1 x 1025 pairwise, 9 to 13 us), and broadcasting alone
+# makes large blocks 14 to 64 % slower (d = 1 4096 x 1500, d = 3
+# 4096 x 1000). The four-row clause decides none of those calls; it decides
+# UCB rows over a 1-D lattice of level 13 or finer
 _BLAS_MIN = 1 << 13
 
 
