@@ -1,6 +1,6 @@
 """Branch-and-bound Gaussian-process optimization for deterministic objectives."""
 
-# gp first: it is the one module that imports scipy, and scipy imports
+# gp first: it is the one module that imports SciPy, and SciPy imports
 # about 15 ms (8 %) slower when it loads one import level deeper, from
 # inside bench's import (CPython 3.11, one BLAS thread)
 from .gp import GPPosterior, fit, prior_draw, sample_prior_on_grid
